@@ -33,9 +33,10 @@
  * simulated-time cadence instead) under --checkpoint-dir (default
  * "checkpoints"), keeping the newest --checkpoint-keep per job;
  * --resume-from-snapshot restores each job from its newest valid
- * snapshot, so a SIGKILL'd sweep replays at most one checkpoint
- * interval.  Checkpointing never changes results — trace digests
- * match an uncheckpointed run exactly.
+ * snapshot, so a SIGKILL'd sweep resumes with the replay verified
+ * against the snapshot's trace digest.  Restore replays from event 0,
+ * so resuming saves no wall time yet.  Checkpointing never changes
+ * results — trace digests match an uncheckpointed run exactly.
  *
  * Exit status: 0 all replications ok; 1 usage/config error or (with
  * --strict) a failed job; 2 the sweep completed but some

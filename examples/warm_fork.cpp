@@ -1,7 +1,8 @@
 /**
  * @file
- * Warm-state forking: pay for warm-up once, explore many
- * continuations.
+ * Warm-state forking: explore many continuations from one validated
+ * warm state.  Each fork replays the warm-up from event 0, so it
+ * costs about as much wall time as a cold run to the same point.
  *
  * The tool runs the 2-tier NGINX-memcached application to its
  * warm-up boundary, snapshots the warm state

@@ -298,11 +298,6 @@ Cluster::Cluster(Simulator& sim, std::unique_ptr<NetworkModel> model)
 {
 }
 
-Cluster::Cluster(Simulator& sim, const NetworkConfig& network)
-    : Cluster(sim, ConstantModel::make(network))
-{
-}
-
 MachineConfig
 machineConfigFromJson(const json::JsonValue& doc)
 {

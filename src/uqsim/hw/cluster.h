@@ -46,10 +46,6 @@ class Cluster {
     explicit Cluster(Simulator& sim,
                      std::unique_ptr<NetworkModel> model = nullptr);
 
-    /** Deprecated shim (docs/FORMATS.md): a ConstantModel cluster
-     *  from the free-floating latency pair. */
-    Cluster(Simulator& sim, const NetworkConfig& network);
-
     /** Builds a cluster from a parsed machines.json document
      *  (schema v1 or v2, see file comment). */
     static std::unique_ptr<Cluster> fromJson(Simulator& sim,

@@ -9,19 +9,13 @@
  * deterministic FIFO admission.
  *
  * Each sized disk access becomes an *operation* that holds a share
- * of its direction's bandwidth until its last byte moves.  Because
- * every operation occupies exactly one resource (the read or the
- * write head), the max-min fair allocation degenerates to an equal
- * split per direction: rate = direction capacity / operations in
- * that direction.  The allocation is recomputed incrementally with
- * the same machinery as the flow-level network model — advance
- * in-flight bytes to now, recompute shares, and reschedule a
- * completion event only when its rate actually changed (skipping
- * the reschedule avoids rounding drift).  Operation bookkeeping
- * iterates in operation-id order (a std::map), never in hash order,
- * so floating-point accumulation is bit-reproducible and the
- * determinism contract (trace-digest equality across worker counts)
- * holds.
+ * of its direction's bandwidth until its last byte moves: a flow in
+ * a FluidSolver (fluid_solver.h; docs/ARCHITECTURE.md §Fluid
+ * sharing) whose two resources are the read head and the write
+ * head.  Because every operation occupies exactly one head, the
+ * max-min fair allocation degenerates to an equal split per
+ * direction: rate = direction capacity / operations in that
+ * direction.
  *
  * When the configured queue depth is reached, further submissions
  * wait in a FIFO; each completion admits the head of the queue, so
@@ -37,10 +31,10 @@
 
 #include <cstdint>
 #include <deque>
-#include <map>
 #include <string>
 
 #include "uqsim/core/engine/simulator.h"
+#include "uqsim/hw/fluid_solver.h"
 #include "uqsim/hw/irq_service.h"
 
 namespace uqsim {
@@ -100,9 +94,7 @@ class Disk {
     /** High-water mark of the waiting FIFO. */
     std::uint64_t peakQueueDepth() const { return peakQueued_; }
     /** Number of share recomputations (op starts + finishes). */
-    std::uint64_t reshareCount() const { return reshares_; }
-    std::size_t inServiceCount() const { return inService_.size(); }
-    std::size_t waitingCount() const { return waiting_.size(); }
+    std::uint64_t reshareCount() const { return solver_.reshareCount(); }
 
     /** Wall-clock seconds with at least one operation in service. */
     double busySeconds(SimTime now) const;
@@ -122,38 +114,17 @@ class Disk {
                    const std::string& name) const;
 
   private:
-    struct Op {
-        OpKind kind = OpKind::Read;
-        std::uint64_t sizeBytes = 0;
-        double remainingBytes = 0.0;
-        double rate = 0.0;
-        /** Sampled access latency, paid after the last byte. */
-        double tailLatency = 0.0;
-        Callback done;
-        const char* label = "disk/op";
-        EventHandle completion;
-    };
+    /** Counts a finished operation and admits the FIFO head into
+     *  its slot. */
+    void onFinish(const FluidSolver::Flow& op);
 
-    double capacity(OpKind kind) const;
-    /** Advances in-service bytes and the busy integral to now.
-     *  Call *before* mutating the operation table so the preceding
-     *  interval is accounted under the old occupancy. */
-    void advance();
-    /** Recomputes per-direction shares and reschedules completions
-     *  whose rate changed. */
-    void allocate();
-    void start(std::uint64_t id, Op op);
-    void finishOp(std::uint64_t id);
-
-    Simulator& sim_;
     Config config_;
     std::string label_;
 
-    std::map<std::uint64_t, Op> inService_;
-    std::deque<std::pair<std::uint64_t, Op>> waiting_;
-    std::uint64_t nextOpId_ = 0;
-    SimTime lastUpdate_ = 0;
-    double busyTicks_ = 0.0;  // integral of (inService > 0) in ticks
+    /** In-service operations; resource 0 is the read head, 1 the
+     *  write head. */
+    FluidSolver solver_;
+    std::deque<FluidSolver::Flow> waiting_;
 
     std::uint64_t submitted_ = 0;
     std::uint64_t readsCompleted_ = 0;
@@ -162,7 +133,6 @@ class Disk {
     std::uint64_t bytesWritten_ = 0;
     std::uint64_t queuedOps_ = 0;
     std::uint64_t peakQueued_ = 0;
-    std::uint64_t reshares_ = 0;
 };
 
 }  // namespace hw

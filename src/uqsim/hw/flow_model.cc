@@ -1,7 +1,6 @@
 #include "uqsim/hw/flow_model.h"
 
 #include <algorithm>
-#include <limits>
 #include <stdexcept>
 #include <utility>
 
@@ -12,74 +11,13 @@
 namespace uqsim {
 namespace hw {
 
-std::vector<double>
-maxMinFairShares(const std::vector<double>& capacities,
-                 const std::vector<std::vector<int>>& paths)
-{
-    std::vector<double> rates(paths.size(), 0.0);
-    std::vector<double> capLeft = capacities;
-    std::vector<int> flowsOn(capacities.size(), 0);
-    std::vector<bool> fixed(paths.size(), false);
-    std::size_t unfixed = 0;
-    for (std::size_t f = 0; f < paths.size(); ++f) {
-        if (paths[f].empty()) {
-            fixed[f] = true;  // consumes no link; rate stays 0
-            continue;
-        }
-        ++unfixed;
-        for (int l : paths[f])
-            ++flowsOn[static_cast<std::size_t>(l)];
-    }
-    // Progressive filling: the tightest link's equal split is a rate
-    // no crossing flow can exceed, so those flows are fixed at it;
-    // remove them and repeat.  Ties break toward the lowest link
-    // index, keeping the arithmetic order deterministic.
-    while (unfixed > 0) {
-        double best = std::numeric_limits<double>::infinity();
-        std::size_t bestLink = capacities.size();
-        for (std::size_t l = 0; l < capacities.size(); ++l) {
-            if (flowsOn[l] <= 0)
-                continue;
-            const double share = capLeft[l] / flowsOn[l];
-            if (share < best) {
-                best = share;
-                bestLink = l;
-            }
-        }
-        if (bestLink == capacities.size())
-            break;
-        for (std::size_t f = 0; f < paths.size(); ++f) {
-            if (fixed[f])
-                continue;
-            bool crosses = false;
-            for (int l : paths[f]) {
-                if (static_cast<std::size_t>(l) == bestLink) {
-                    crosses = true;
-                    break;
-                }
-            }
-            if (!crosses)
-                continue;
-            fixed[f] = true;
-            --unfixed;
-            rates[f] = best;
-            for (int l : paths[f]) {
-                const auto li = static_cast<std::size_t>(l);
-                capLeft[li] -= best;
-                if (capLeft[li] < 0.0)
-                    capLeft[li] = 0.0;
-                --flowsOn[li];
-            }
-        }
-    }
-    return rates;
-}
-
 FlowModel::FlowModel() : FlowModel(Config{})
 {
 }
 
-FlowModel::FlowModel(const Config& config) : config_(config)
+FlowModel::FlowModel(const Config& config)
+    : config_(config),
+      solver_("net/flow", [this](const FluidSolver::Flow&) { ++finished_; })
 {
 }
 
@@ -109,6 +47,7 @@ FlowModel::addLink(const LinkSpec& spec)
     const int id = static_cast<int>(links_.size());
     links_.push_back(spec);
     linkStates_.emplace_back();
+    solver_.addResource(spec.bytesPerSecond);
     linkIds_.emplace(spec.name, id);
     return id;
 }
@@ -219,19 +158,13 @@ FlowModel::setLinkDown(int id)
         // Collect first: dropMessage schedules events and the drop
         // callbacks must not observe a half-mutated flow table.
         std::vector<std::uint64_t> doomed;
-        for (const auto& [fid, flow] : flows_) {
-            for (int l : *flow.path) {
-                if (l == id) {
-                    doomed.push_back(fid);
-                    break;
-                }
-            }
+        for (const auto& [fid, flow] : solver_.flows()) {
+            const std::vector<int>& path = *flow.resources;
+            if (std::find(path.begin(), path.end(), id) != path.end())
+                doomed.push_back(fid);
         }
         for (std::uint64_t fid : doomed) {
-            auto it = flows_.find(fid);
-            Flow flow = std::move(it->second);
-            flows_.erase(it);
-            flow.completion.cancel();
+            FluidSolver::Flow flow = solver_.erase(fid);
             ++state.drops;
             ++linkDrops_;
             dropMessage(std::move(flow.dropped), DropReason::LinkDown,
@@ -239,9 +172,9 @@ FlowModel::setLinkDown(int id)
         }
     }
     // Stall policy needs no flow surgery: the dead link's capacity is
-    // zero, so progressive filling pins every crossing flow at rate 0
-    // and reshare() leaves them without a completion event.
-    reshare();
+    // zero, so the solver pins every crossing flow at rate 0 and
+    // leaves them without a completion event.
+    reshareLink(id);
 }
 
 void
@@ -262,7 +195,7 @@ FlowModel::setLinkUp(int id)
         state.downSecondsTotal +=
             simTimeToSeconds(sim_->now() - state.downSince);
     }
-    reshare();
+    reshareLink(id);
 }
 
 void
@@ -280,7 +213,7 @@ FlowModel::setLinkDegradation(int id, double capacityFactor,
     LinkState& state = linkStates_.at(static_cast<std::size_t>(id));
     state.capacityFactor = capacityFactor;
     state.latencyFactor = latencyFactor;
-    reshare();
+    reshareLink(id);
 }
 
 void
@@ -289,7 +222,19 @@ FlowModel::clearLinkDegradation(int id)
     LinkState& state = linkStates_.at(static_cast<std::size_t>(id));
     state.capacityFactor = 1.0;
     state.latencyFactor = 1.0;
-    reshare();
+    reshareLink(id);
+}
+
+void
+FlowModel::reshareLink(int id)
+{
+    const auto li = static_cast<std::size_t>(id);
+    const LinkState& state = linkStates_[li];
+    solver_.setCapacity(id, state.downCount > 0
+                                ? 0.0
+                                : links_[li].bytesPerSecond *
+                                      state.capacityFactor);
+    solver_.reshare();
 }
 
 bool
@@ -357,7 +302,7 @@ void
 FlowModel::bind(Simulator& sim)
 {
     sim_ = &sim;
-    lastUpdate_ = sim.now();
+    solver_.bind(sim);
 }
 
 void
@@ -497,16 +442,16 @@ FlowModel::transit(const Machine* from, const Machine* to,
                             label);
         return;
     }
-    const std::uint64_t id = nextFlowId_++;
-    Flow& flow = flows_[id];
-    flow.path = path;
-    flow.remainingBytes = static_cast<double>(bytes);
+    FluidSolver::Flow flow;
+    flow.resources = path;
+    flow.sizeBytes = bytes;
     flow.tailLatency = latency;
     flow.done = std::move(done);
     flow.dropped = std::move(dropped);
     flow.label = label;
+    solver_.insert(std::move(flow));
     ++started_;
-    reshare();
+    solver_.reshare();
 }
 
 void
@@ -519,137 +464,6 @@ FlowModel::loopback(const Machine* machine, std::uint32_t bytes,
     sim_->scheduleAfter(
         secondsToSimTime(config_.loopbackLatency + extraLatencySeconds),
         std::move(done), label);
-}
-
-void
-FlowModel::reshare()
-{
-    const SimTime now = sim_->now();
-    if (now > lastUpdate_) {
-        const double dt = simTimeToSeconds(now - lastUpdate_);
-        for (auto& [id, flow] : flows_) {
-            flow.remainingBytes -= flow.rate * dt;
-            if (flow.remainingBytes < 0.0)
-                flow.remainingBytes = 0.0;
-        }
-    }
-    lastUpdate_ = now;
-    ++reshares_;
-
-    // Progressive filling over the active flows, in flow-id order.
-    // A downed link contributes zero capacity (its flows stall at
-    // rate 0 under the Stall policy; under Drop they were already
-    // removed); a degraded link its capacity scaled down.  Both
-    // factors are exactly 1.0 / count 0 outside fault windows, so the
-    // fault-free arithmetic is bit-identical.
-    capLeft_.resize(links_.size());
-    flowsOn_.assign(links_.size(), 0);
-    for (std::size_t l = 0; l < links_.size(); ++l) {
-        const LinkState& state = linkStates_[l];
-        capLeft_[l] = state.downCount > 0
-                          ? 0.0
-                          : links_[l].bytesPerSecond *
-                                state.capacityFactor;
-    }
-    active_.clear();
-    for (auto& [id, flow] : flows_) {
-        active_.push_back(&flow);
-        for (int l : *flow.path)
-            ++flowsOn_[static_cast<std::size_t>(l)];
-    }
-    std::vector<double> oldRates;
-    oldRates.reserve(active_.size());
-    for (Flow* flow : active_) {
-        oldRates.push_back(flow->rate);
-        flow->rate = -1.0;
-    }
-    std::size_t unfixed = active_.size();
-    while (unfixed > 0) {
-        double best = std::numeric_limits<double>::infinity();
-        std::size_t bestLink = links_.size();
-        for (std::size_t l = 0; l < links_.size(); ++l) {
-            if (flowsOn_[l] <= 0)
-                continue;
-            const double share = capLeft_[l] / flowsOn_[l];
-            if (share < best) {
-                best = share;
-                bestLink = l;
-            }
-        }
-        if (bestLink == links_.size())
-            break;
-        for (Flow* flow : active_) {
-            if (flow->rate >= 0.0)
-                continue;
-            bool crosses = false;
-            for (int l : *flow->path) {
-                if (static_cast<std::size_t>(l) == bestLink) {
-                    crosses = true;
-                    break;
-                }
-            }
-            if (!crosses)
-                continue;
-            flow->rate = best;
-            --unfixed;
-            for (int l : *flow->path) {
-                const auto li = static_cast<std::size_t>(l);
-                capLeft_[li] -= best;
-                if (capLeft_[li] < 0.0)
-                    capLeft_[li] = 0.0;
-                --flowsOn_[li];
-            }
-        }
-    }
-    // Flows left unfixed cross only zero-capacity (downed) links:
-    // pin them at rate 0 so they stall explicitly.
-    if (unfixed > 0) {
-        for (Flow* flow : active_) {
-            if (flow->rate < 0.0)
-                flow->rate = 0.0;
-        }
-    }
-
-    // Reschedule completions.  A flow whose rate did not change
-    // keeps its pending event: the remaining bytes shrank exactly in
-    // step with the old schedule, so the old finish time still
-    // holds (and skipping the reschedule avoids rounding drift).
-    std::size_t index = 0;
-    for (auto it = flows_.begin(); it != flows_.end(); ++it) {
-        Flow& flow = it->second;
-        const double oldRate = oldRates[index++];
-        if (flow.rate == oldRate && flow.completion.pending())
-            continue;
-        flow.completion.cancel();
-        if (flow.rate <= 0.0 && flow.remainingBytes > 0.0) {
-            // Stalled across a dead link: no completion event until a
-            // repair reshare gives it a positive rate again.
-            continue;
-        }
-        const SimTime remaining =
-            flow.rate > 0.0
-                ? secondsToSimTime(flow.remainingBytes / flow.rate)
-                : 0;
-        const std::uint64_t fid = it->first;
-        flow.completion = sim_->scheduleAfter(
-            remaining, [this, fid]() { finishFlow(fid); }, "net/flow");
-    }
-}
-
-void
-FlowModel::finishFlow(std::uint64_t id)
-{
-    auto it = flows_.find(id);
-    if (it == flows_.end())
-        return;
-    Flow flow = std::move(it->second);
-    flows_.erase(it);
-    ++finished_;
-    // Release the flow's share first, then pay the propagation tail:
-    // the remaining flows speed up the moment the last byte leaves.
-    reshare();
-    sim_->scheduleAfter(secondsToSimTime(flow.tailLatency),
-                        std::move(flow.done), flow.label);
 }
 
 double
@@ -685,8 +499,8 @@ std::vector<double>
 FlowModel::activeFlowRates() const
 {
     std::vector<double> rates;
-    rates.reserve(flows_.size());
-    for (const auto& [id, flow] : flows_)
+    rates.reserve(solver_.flows().size());
+    for (const auto& [id, flow] : solver_.flows())
         rates.push_back(flow.rate);
     return rates;
 }
@@ -742,18 +556,18 @@ FlowModel::saveState(snapshot::SnapshotWriter& writer) const
 {
     writer.putU64(started_);
     writer.putU64(finished_);
-    writer.putU64(reshares_);
+    writer.putU64(solver_.reshareCount());
     writer.putU64(failovers_);
     writer.putU64(unreachable_);
     writer.putU64(linkDrops_);
-    writer.putU64(nextFlowId_);
-    writer.putI64(lastUpdate_);
+    writer.putU64(solver_.nextId());
+    writer.putI64(solver_.lastUpdate());
     writer.putI64(downLinkCount_);
     writer.putBool(partitionActive_);
-    writer.putU64(flows_.size());
+    writer.putU64(solver_.flows().size());
     writer.putU64(failoverPicks_.size());
-    writer.putU64(flowStateDigest(flows_, linkStates_, partitionOf_,
-                                  failoverPicks_));
+    writer.putU64(flowStateDigest(solver_.flows(), linkStates_,
+                                  partitionOf_, failoverPicks_));
 }
 
 void
@@ -761,18 +575,18 @@ FlowModel::loadState(snapshot::SnapshotReader& reader) const
 {
     reader.requireU64("flow.started", started_);
     reader.requireU64("flow.finished", finished_);
-    reader.requireU64("flow.reshares", reshares_);
+    reader.requireU64("flow.reshares", solver_.reshareCount());
     reader.requireU64("flow.failovers", failovers_);
     reader.requireU64("flow.unreachable", unreachable_);
     reader.requireU64("flow.link_drops", linkDrops_);
-    reader.requireU64("flow.next_flow_id", nextFlowId_);
-    reader.requireI64("flow.last_update", lastUpdate_);
+    reader.requireU64("flow.next_flow_id", solver_.nextId());
+    reader.requireI64("flow.last_update", solver_.lastUpdate());
     reader.requireI64("flow.down_links", downLinkCount_);
     reader.requireBool("flow.partition_active", partitionActive_);
-    reader.requireU64("flow.active_flows", flows_.size());
+    reader.requireU64("flow.active_flows", solver_.flows().size());
     reader.requireU64("flow.failover_picks", failoverPicks_.size());
     reader.requireU64("flow.state_digest",
-                      flowStateDigest(flows_, linkStates_,
+                      flowStateDigest(solver_.flows(), linkStates_,
                                       partitionOf_, failoverPicks_));
 }
 

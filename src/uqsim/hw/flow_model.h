@@ -7,12 +7,12 @@
  * routed machine→machine paths, and max-min fair bandwidth sharing.
  *
  * Each cross-machine message becomes a *flow* that occupies every
- * link on its route for the duration of its transmission.  Rates are
- * the max-min fair allocation (progressive filling) over all active
- * flows; the allocation is recomputed incrementally whenever a flow
- * starts or finishes, and each flow's completion event is
- * rescheduled only when its rate actually changed.  Delivery fires
- * one path latency after the last byte leaves the sender.
+ * link on its route for the duration of its transmission.  The
+ * links are the resources of a FluidSolver (fluid_solver.h;
+ * docs/ARCHITECTURE.md §Fluid sharing), which re-shares max-min
+ * fair rates whenever a flow starts or finishes or a link changes
+ * state.  Delivery fires one path latency after the last byte
+ * leaves the sender.
  *
  * Topology-granular faults (docs/ARCHITECTURE.md §failure handling):
  * every link carries up/down and degradation state.  A transition
@@ -32,10 +32,8 @@
  *
  * Everything advances through engine events ("net/flow" transmission
  * completions), so the determinism contract and the explorer's
- * same-timestamp choice points apply unchanged.  Flow bookkeeping
- * iterates in flow-id order (a std::map), never in hash order, to
- * keep floating-point accumulation bit-reproducible.  Fault-free
- * runs never touch the link-state branches: capacities and latencies
+ * same-timestamp choice points apply unchanged.  Fault-free runs
+ * never touch the link-state branches: capacities and latencies
  * multiply by exactly 1.0, so digests stay bit-identical to builds
  * without fault support.
  */
@@ -45,22 +43,11 @@
 #include <string>
 #include <vector>
 
-#include "uqsim/core/engine/event.h"
+#include "uqsim/hw/fluid_solver.h"
 #include "uqsim/hw/network_model.h"
 
 namespace uqsim {
 namespace hw {
-
-/**
- * Max-min fair allocation by progressive filling, exposed for unit
- * testing against closed-form cases.  @p capacities holds link
- * capacities (bytes/s); @p paths holds, per flow, the link indices
- * it crosses.  Returns one rate per flow.  Flows with empty paths
- * get an unbounded rate of 0 (they consume no link).
- */
-std::vector<double> maxMinFairShares(
-    const std::vector<double>& capacities,
-    const std::vector<std::vector<int>>& paths);
 
 /** Bandwidth-sharing flow model; see file comment. */
 class FlowModel final : public NetworkModel {
@@ -218,9 +205,10 @@ class FlowModel final : public NetworkModel {
 
     std::uint64_t flowsStarted() const { return started_; }
     std::uint64_t flowsFinished() const { return finished_; }
-    std::size_t activeFlowCount() const { return flows_.size(); }
-    /** Number of fair-share recomputations (flow starts+finishes). */
-    std::uint64_t reshareCount() const { return reshares_; }
+    std::size_t activeFlowCount() const { return solver_.flows().size(); }
+    /** Number of fair-share recomputations (flow starts and
+     *  finishes, link transitions). */
+    std::uint64_t reshareCount() const { return solver_.reshareCount(); }
 
     /** Transfers routed over a backup candidate (primary dead). */
     std::uint64_t failovers() const { return failovers_; }
@@ -240,19 +228,6 @@ class FlowModel final : public NetworkModel {
     std::vector<double> activeFlowRates() const;
 
   private:
-    struct Flow {
-        const std::vector<int>* path = nullptr;
-        double remainingBytes = 0.0;
-        double rate = 0.0;
-        /** Propagation latency + fault-window extra, paid after the
-         *  last byte is transmitted. */
-        double tailLatency = 0.0;
-        Callback done;
-        DropCallback dropped;
-        const char* label = "net/flow";
-        EventHandle completion;
-    };
-
     struct LinkState {
         /** Nested down count; the link is up when 0. */
         int downCount = 0;
@@ -275,11 +250,9 @@ class FlowModel final : public NetworkModel {
     double pathLatencySeconds(const std::vector<int>& path) const;
     void dropMessage(DropCallback dropped, DropReason reason,
                      const char* label);
-    /** Advances in-flight flows to now, recomputes the max-min
-     *  allocation, and reschedules completions whose rate changed.
-     *  Stalled flows (rate 0, bytes left) keep no pending event. */
-    void reshare();
-    void finishFlow(std::uint64_t id);
+    /** Pushes link @p id's effective capacity (0 while down) to the
+     *  solver and re-shares. */
+    void reshareLink(int id);
 
     Config config_;
     Simulator* sim_ = nullptr;
@@ -301,20 +274,16 @@ class FlowModel final : public NetworkModel {
     /** Partition group per net id; -1 = not in any group. */
     std::vector<int> partitionOf_;
 
-    std::map<std::uint64_t, Flow> flows_;
-    std::uint64_t nextFlowId_ = 0;
-    SimTime lastUpdate_ = 0;
+    /** Resources are the links, by link id; flows carry their
+     *  route as the resource list. */
+    FluidSolver solver_;
     std::uint64_t started_ = 0;
     std::uint64_t finished_ = 0;
-    std::uint64_t reshares_ = 0;
     std::uint64_t failovers_ = 0;
     std::uint64_t unreachable_ = 0;
     std::uint64_t linkDrops_ = 0;
 
-    // Scratch reused across reshare() / failover calls.
-    std::vector<double> capLeft_;
-    std::vector<int> flowsOn_;
-    std::vector<Flow*> active_;
+    // Scratch reused across failover calls.
     std::vector<const std::vector<int>*> survivorScratch_;
 
     /** Failover pick per (from, to) pair, sticky until the next

@@ -15,11 +15,6 @@ Network::Network(Simulator& sim, std::unique_ptr<NetworkModel> model)
     model_->bind(sim_);
 }
 
-Network::Network(Simulator& sim, const NetworkConfig& config)
-    : Network(sim, ConstantModel::make(config))
-{
-}
-
 void
 Network::setDegradation(double extraLatencySeconds,
                         double lossProbability)

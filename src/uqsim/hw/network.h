@@ -38,22 +38,12 @@
 namespace uqsim {
 namespace hw {
 
-/**
- * Deprecated (one release, see docs/FORMATS.md): construct the
- * model explicitly via ConstantModel::Config / ConstantModel::make()
- * instead of a free-floating latency pair.
- */
-using NetworkConfig = ConstantModel::Config;
-
 /** Message transport between machines. */
 class Network {
   public:
     /** Takes ownership of @p model; nullptr selects a default
      *  ConstantModel. */
     Network(Simulator& sim, std::unique_ptr<NetworkModel> model);
-
-    /** Deprecated shim: a ConstantModel built from @p config. */
-    Network(Simulator& sim, const NetworkConfig& config);
 
     /**
      * Moves a message of @p bytes from @p from to @p to, then calls

@@ -121,8 +121,7 @@ class NetworkModel {
  */
 class ConstantModel final : public NetworkModel {
   public:
-    /** Model parameters; the factory-style replacement for the
-     *  deprecated free-floating hw::NetworkConfig (docs/FORMATS.md). */
+    /** Model parameters. */
     struct Config {
         /** One-way wire latency between distinct machines (seconds). */
         double wireLatency = 20e-6;

@@ -105,10 +105,11 @@ struct RunnerOptions {
      * Mid-run checkpointing (snapshot/checkpoint.h): when enabled,
      * every replication writes periodic snapshots under
      * "<prefix>-<sweep>-p<point>-r<replication>", so a killed sweep
-     * loses at most one checkpoint interval per in-flight job.
-     * Checkpointing never changes results: segment boundaries do
-     * not move the clock, so trace digests match an uncheckpointed
-     * run exactly.
+     * can resume each in-flight job from a digest-verified snapshot.
+     * Restore replays the job from event 0, so resuming saves no
+     * wall time yet.  Checkpointing never changes results: segment
+     * boundaries do not move the clock, so trace digests match an
+     * uncheckpointed run exactly.
      */
     snapshot::CheckpointOptions checkpoint;
     /**

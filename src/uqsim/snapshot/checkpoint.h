@@ -29,8 +29,9 @@
  * count, checks the trace digest, and validates every layer's state
  * field by field.  forkFromSnapshot() additionally re-seeds the
  * client workload streams and/or scales the offered load — the
- * warm-state forking workflow (examples/warm_fork.cpp): pay for
- * warm-up once, then explore many what-if continuations.
+ * warm-state forking workflow (examples/warm_fork.cpp): many what-if
+ * continuations from one validated warm state.  Every restore or
+ * fork replays from event 0, so neither saves wall time yet.
  */
 
 #include <cstdint>

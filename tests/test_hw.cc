@@ -235,14 +235,14 @@ class NetworkTest : public ::testing::Test {
     }
 
     Simulator sim_;
-    NetworkConfig net_{20e-6, 5e-6};
+    ConstantModel::Config net_{20e-6, 5e-6};
     std::unique_ptr<Machine> a_;
     std::unique_ptr<Machine> b_;
 };
 
 TEST_F(NetworkTest, CrossMachinePaysIrqTwicePlusWire)
 {
-    Network network(sim_, net_);
+    Network network(sim_, ConstantModel::make(net_));
     SimTime done = -1;
     network.transfer(a_.get(), b_.get(), 0, [&] { done = sim_.now(); });
     sim_.run();
@@ -256,7 +256,7 @@ TEST_F(NetworkTest, CrossMachinePaysIrqTwicePlusWire)
 
 TEST_F(NetworkTest, LoopbackSkipsWire)
 {
-    Network network(sim_, net_);
+    Network network(sim_, ConstantModel::make(net_));
     SimTime done = -1;
     network.transfer(a_.get(), a_.get(), 0, [&] { done = sim_.now(); });
     sim_.run();
@@ -267,7 +267,7 @@ TEST_F(NetworkTest, LoopbackSkipsWire)
 
 TEST_F(NetworkTest, ClientLegPaysWireOnly)
 {
-    Network network(sim_, net_);
+    Network network(sim_, ConstantModel::make(net_));
     SimTime done = -1;
     network.transfer(nullptr, nullptr, 0, [&] { done = sim_.now(); });
     sim_.run();

@@ -38,7 +38,8 @@ runMmk(double lambda, double mu, int servers, std::uint64_t seed,
        double duration = 60.0)
 {
     Simulator sim(seed);
-    hw::Cluster cluster(sim, hw::NetworkConfig{0.0, 0.0});
+    hw::Cluster cluster(
+        sim, hw::ConstantModel::make(hw::ConstantModel::Config{0.0, 0.0}));
     Deployment deployment(sim, cluster);
 
     StageConfig stage;
