@@ -151,7 +151,9 @@ class Deployment {
     }
 
     /** Sets the resilience policy for hops from @p from_service to
-     *  @p to_service (graph.json "policies" block). */
+     *  @p to_service (graph.json "policies" block).  Set it before
+     *  the run: the dispatcher builds the edge's breaker and hedge
+     *  quantile from the policy it sees on the edge's first hop. */
     void setEdgePolicy(const std::string& from_service,
                        const std::string& to_service,
                        const fault::EdgePolicy& policy);

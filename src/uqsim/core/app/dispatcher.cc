@@ -435,8 +435,11 @@ Dispatcher::onNodeComplete(JobPtr job, MicroserviceInstance& inst)
             hs.prototype.reset();
             EdgeRuntime& edge = edgeRuntime(hs.from->model().nameId(),
                                             hs.serviceId, *hs.policy);
-            edge.hopLatency.add(
-                simTimeToSeconds(sim_.now() - winner->sentAt));
+            const double latency =
+                simTimeToSeconds(sim_.now() - winner->sentAt);
+            edge.hopLatencies.push_back(latency);
+            if (edge.hedgeQuantile)
+                edge.hedgeQuantile->add(latency);
             if (edge.breaker)
                 edge.breaker->recordSuccess(sim_.now());
             for (Attempt& attempt : hs.attempts) {
@@ -540,6 +543,8 @@ Dispatcher::edgeRuntime(std::uint32_t from_id, std::uint32_t to_id,
             runtime.breaker = std::make_unique<fault::CircuitBreaker>(
                 policy.breaker);
         }
+        if (policy.hedgePercentile > 0.0)
+            runtime.hedgeQuantile.emplace(policy.hedgePercentile);
         it = edges_.emplace(key, std::move(runtime)).first;
     }
     return it->second;
@@ -549,11 +554,10 @@ SimTime
 Dispatcher::resolveHedgeDelay(EdgeRuntime& edge,
                               const fault::EdgePolicy& policy)
 {
-    if (policy.hedgePercentile > 0.0 &&
-        edge.hopLatency.count() >=
+    if (edge.hedgeQuantile &&
+        edge.hedgeQuantile->count() >=
             static_cast<std::size_t>(policy.hedgeMinSamples)) {
-        return secondsToSimTime(
-            edge.hopLatency.percentile(policy.hedgePercentile * 100.0));
+        return secondsToSimTime(edge.hedgeQuantile->value());
     }
     if (policy.hedgeDelaySeconds > 0.0)
         return secondsToSimTime(policy.hedgeDelaySeconds);
@@ -1000,8 +1004,8 @@ Dispatcher::activeStateDigest() const
         digest.boolean(runtime.breaker != nullptr);
         if (runtime.breaker)
             digest.u64(runtime.breaker->stateDigest());
-        digest.u64(runtime.hopLatency.count());
-        for (const double value : runtime.hopLatency.values())
+        digest.u64(runtime.hopLatencies.size());
+        for (const double value : runtime.hopLatencies)
             digest.f64(value);
     }
     // Admission counters and per-tier fault counters (dense arrays).

@@ -39,6 +39,7 @@
 #include <functional>
 #include <map>
 #include <memory>
+#include <optional>
 #include <set>
 #include <string>
 #include <unordered_map>
@@ -53,7 +54,7 @@
 #include "uqsim/core/sim/report.h"
 #include "uqsim/fault/resilience.h"
 #include "uqsim/hw/network.h"
-#include "uqsim/stats/percentile_recorder.h"
+#include "uqsim/stats/running_quantile.h"
 
 namespace uqsim {
 
@@ -224,8 +225,12 @@ class Dispatcher {
     /** Per-(upstream, downstream) service-edge runtime state. */
     struct EdgeRuntime {
         std::unique_ptr<fault::CircuitBreaker> breaker;
-        /** Winner hop latencies (seconds); feeds adaptive hedging. */
-        stats::PercentileRecorder hopLatency;
+        /** Winner hop latencies (seconds) in completion order; the
+         *  snapshot fold reads them. */
+        std::vector<double> hopLatencies;
+        /** Running hedge_percentile of hopLatencies, engaged when the
+         *  edge's policy hedges adaptively. */
+        std::optional<stats::RunningQuantile> hedgeQuantile;
     };
 
     /**

@@ -260,27 +260,22 @@ MicroserviceInstance::startBatch(int stage_id, std::vector<JobPtr> batch)
     }
     ++batches_;
     batchSizes_.add(static_cast<double>(batch.size()));
+    const std::uint64_t jobs = batch.size();
 
-    // Recycle a shared batch record when its completion event has
-    // fully drained (the free list holds the only reference); this
-    // keeps steady-state batch turnover free of shared_ptr
-    // control-block allocations.
-    std::shared_ptr<std::vector<JobPtr>> shared_batch;
-    if (!batchPool_.empty() && batchPool_.back().use_count() == 1) {
-        shared_batch = std::move(batchPool_.back());
-        batchPool_.pop_back();
-        *shared_batch = std::move(batch);
+    std::uint32_t slot = static_cast<std::uint32_t>(batchSlots_.size());
+    if (freeBatchSlots_.empty()) {
+        batchSlots_.push_back(std::move(batch));
     } else {
-        shared_batch =
-            std::make_shared<std::vector<JobPtr>>(std::move(batch));
+        slot = freeBatchSlots_.back();
+        freeBatchSlots_.pop_back();
+        batchSlots_[slot] = std::move(batch);
     }
-    activeBatches_.push_back(shared_batch);
+    activeBatches_.push_back(slot);
     if (stage.resource == StageResource::Disk &&
         machineDisk_ != nullptr) {
         // A sized operation against the shared disk: the sampled
         // duration rides on top of the bandwidth term as the access
         // latency, and the batch completes when the last byte moves.
-        const std::uint64_t jobs = shared_batch->size();
         const std::uint64_t io_bytes =
             stage.ioBytes > 0 ? stage.ioBytes * jobs : bytes;
         machineDisk_->submit(
@@ -288,22 +283,18 @@ MicroserviceInstance::startBatch(int stage_id, std::vector<JobPtr> batch)
                 ? hw::Disk::OpKind::Read
                 : hw::Disk::OpKind::Write,
             io_bytes, simTimeToSeconds(duration),
-            [this, stage_id, shared_batch]() {
-                finishBatch(stage_id, *shared_batch);
-            },
+            [this, stage_id, slot]() { finishBatch(stage_id, slot); },
             stageLabels_[static_cast<std::size_t>(stage_id)].c_str());
         return;
     }
     sim_.scheduleAfter(
         duration,
-        [this, stage_id, shared_batch]() {
-            finishBatch(stage_id, *shared_batch);
-        },
+        [this, stage_id, slot]() { finishBatch(stage_id, slot); },
         stageLabels_[static_cast<std::size_t>(stage_id)].c_str());
 }
 
 void
-MicroserviceInstance::finishBatch(int stage_id, std::vector<JobPtr>& batch)
+MicroserviceInstance::finishBatch(int stage_id, std::uint32_t slot)
 {
     const StageConfig& stage = model_->stage(stage_id);
     if (stage.resource != StageResource::Disk ||
@@ -314,20 +305,19 @@ MicroserviceInstance::finishBatch(int stage_id, std::vector<JobPtr>& batch)
         resource->release(sim_.now());
     }
     ++idleThreads_;
-    // Deregister; a crash may already have cleared the registry (and
-    // the batch), in which case this completes empty.
-    auto it = std::find_if(
-        activeBatches_.begin(), activeBatches_.end(),
-        [&batch](const std::shared_ptr<std::vector<JobPtr>>& entry) {
-            return entry.get() == &batch;
-        });
-    if (it != activeBatches_.end()) {
-        batchPool_.push_back(std::move(*it));
+    // Deregister; a crash may already have done so and taken the
+    // jobs, in which case this completes empty.
+    const auto it =
+        std::find(activeBatches_.begin(), activeBatches_.end(), slot);
+    if (it != activeBatches_.end())
         activeBatches_.erase(it);
-    }
+    // Advance from a local: a job's completion callback may start a
+    // batch, which can grow batchSlots_.  The slot is freed only
+    // after the loop, so that batch never lands in it.
+    std::vector<JobPtr> batch = std::move(batchSlots_[slot]);
     for (JobPtr& job : batch)
         advanceJob(std::move(job));
-    batch.clear();
+    freeBatchSlots_.push_back(slot);
     scheduleWork();
 }
 
@@ -345,10 +335,10 @@ MicroserviceInstance::crash()
     // Jobs inside running batches die too.  The batch-completion
     // events stay scheduled — they release the core and the worker
     // with zero jobs, keeping resource accounting balanced.
-    for (auto& entry : activeBatches_) {
-        for (JobPtr& job : *entry)
+    for (const std::uint32_t slot : activeBatches_) {
+        for (JobPtr& job : batchSlots_[slot])
             victims.push_back(std::move(job));
-        entry->clear();
+        batchSlots_[slot].clear();
     }
     activeBatches_.clear();
     connections_.reset();

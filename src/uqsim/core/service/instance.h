@@ -194,10 +194,15 @@ class MicroserviceInstance {
     /** Observed batch-size statistics (batching effectiveness). */
     const stats::Summary& batchSizeStats() const { return batchSizes_; }
 
+    /** Batch slots ever allocated (diagnostics).  A slot is held
+     *  from a batch's start to its completion event, so this stays
+     *  at the peak number of concurrently running batches. */
+    std::size_t batchSlots() const { return batchSlots_.size(); }
+
   private:
     bool tryStartWork();
     void startBatch(int stage_id, std::vector<JobPtr> batch);
-    void finishBatch(int stage_id, std::vector<JobPtr>& batch);
+    void finishBatch(int stage_id, std::uint32_t slot);
     void advanceJob(JobPtr job);
     bool oversubscribed() const { return threads_ > coreCapacity_; }
     void maybeSpawnThread();
@@ -242,12 +247,15 @@ class MicroserviceInstance {
     std::uint64_t killed_ = 0;
     std::uint64_t rejected_ = 0;
     std::uint64_t refused_ = 0;
-    /** Batches currently executing; cleared (jobs killed) on crash
-     *  while their completion events drain harmlessly. */
-    std::vector<std::shared_ptr<std::vector<JobPtr>>> activeBatches_;
-    /** Finished batch records awaiting reuse; an entry is reusable
-     *  once its completion event dropped the last other reference. */
-    std::vector<std::shared_ptr<std::vector<JobPtr>>> batchPool_;
+    /** Jobs of each running batch, indexed by the slot its
+     *  completion event captures. */
+    std::vector<std::vector<JobPtr>> batchSlots_;
+    /** Slots whose completion event has fired. */
+    std::vector<std::uint32_t> freeBatchSlots_;
+    /** Slots of uncrashed running batches in start order; crash()
+     *  kills their jobs and clears this while the completion events
+     *  drain harmlessly. */
+    std::vector<std::uint32_t> activeBatches_;
 };
 
 using InstancePtr = std::unique_ptr<MicroserviceInstance>;

@@ -194,6 +194,8 @@ EdgePolicy::fromJson(const json::JsonValue& doc)
     if (policy.hedgePercentile < 0.0 || policy.hedgePercentile >= 1.0)
         throw json::JsonError(
             "policy hedge_percentile must be a fraction in [0, 1)");
+    if (policy.hedgeMinSamples < 1)
+        throw json::JsonError("policy hedge_min_samples must be >= 1");
     if (policy.retries > 0 && policy.timeoutSeconds <= 0.0)
         throw json::JsonError("policy retries require timeout_s > 0");
     return policy;

@@ -141,6 +141,7 @@ struct EdgePolicy {
     double hedgePercentile = 0.0;
     /** Extra hedged attempts per hop. */
     int hedgeMax = 1;
+    /** Observations before adaptive hedging engages; >= 1. */
     int hedgeMinSamples = 32;
 
     CircuitBreakerConfig breaker;

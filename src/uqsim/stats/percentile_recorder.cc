@@ -6,6 +6,18 @@
 namespace uqsim {
 namespace stats {
 
+Type7Rank
+Type7Rank::of(double p, std::size_t n)
+{
+    const double clamped = std::clamp(p, 0.0, 100.0);
+    const double rank = clamped / 100.0 * static_cast<double>(n - 1);
+    Type7Rank at;
+    at.lo = static_cast<std::size_t>(std::floor(rank));
+    at.hi = static_cast<std::size_t>(std::ceil(rank));
+    at.frac = rank - static_cast<double>(at.lo);
+    return at;
+}
+
 void
 PercentileRecorder::add(double value)
 {
@@ -46,17 +58,8 @@ PercentileRecorder::percentile(double p) const
     if (values_.empty())
         return 0.0;
     ensureSorted();
-    const double clamped = std::clamp(p, 0.0, 100.0);
-    // Linear interpolation between closest ranks (type-7 quantile,
-    // the numpy default).
-    const double rank =
-        clamped / 100.0 * static_cast<double>(sorted_.size() - 1);
-    const std::size_t lo = static_cast<std::size_t>(std::floor(rank));
-    const std::size_t hi = static_cast<std::size_t>(std::ceil(rank));
-    if (lo == hi)
-        return sorted_[lo];
-    const double frac = rank - static_cast<double>(lo);
-    return sorted_[lo] * (1.0 - frac) + sorted_[hi] * frac;
+    const Type7Rank at = Type7Rank::of(p, sorted_.size());
+    return at.interpolate(sorted_[at.lo], sorted_[at.hi]);
 }
 
 void

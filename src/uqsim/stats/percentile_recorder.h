@@ -6,7 +6,10 @@
  * Exact-percentile latency recorder.
  *
  * Stores every observation and computes percentiles by sorting on
- * demand (amortized: the sorted order is cached until the next add).
+ * demand: the sorted order is cached until the next add, so the
+ * first query after an add copies and sorts all n values.  That
+ * suits end-of-run reports; per-event code must not query a growing
+ * recorder (RunningQuantile answers one fixed quantile in O(1)).
  * Simulation runs record at most a few million latencies, so exact
  * storage is cheap and avoids quantile-sketch error in validation
  * figures.
@@ -19,6 +22,31 @@
 
 namespace uqsim {
 namespace stats {
+
+/**
+ * Where the type-7 percentile (linear interpolation between closest
+ * ranks, the numpy default) of @p p in [0, 100] sits among n >= 1
+ * sorted observations: the order statistic at lo, or between lo and
+ * hi = lo + 1 at fraction frac.  PercentileRecorder and
+ * RunningQuantile both go through it, so they return the same bits
+ * for the same observations.
+ */
+struct Type7Rank {
+    std::size_t lo = 0;
+    std::size_t hi = 0;
+    double frac = 0.0;
+
+    static Type7Rank of(double p, std::size_t n);
+
+    /** The percentile, given the order statistics at lo and hi. */
+    double
+    interpolate(double lo_value, double hi_value) const
+    {
+        if (lo == hi)
+            return lo_value;
+        return lo_value * (1.0 - frac) + hi_value * frac;
+    }
+};
 
 /** Records observations and answers exact percentile queries. */
 class PercentileRecorder {
@@ -43,7 +71,8 @@ class PercentileRecorder {
 
     /**
      * Exact percentile with linear interpolation between order
-     * statistics; @p p is in [0, 100].  Returns 0 when empty.
+     * statistics (Type7Rank); @p p is in [0, 100].  Returns 0 when
+     * empty.  Sorts a full copy on the first query after an add.
      */
     double percentile(double p) const;
 

@@ -324,6 +324,68 @@ TEST(Instance, BatchSizeStatsRecorded)
     EXPECT_DOUBLE_EQ(h.instance.batchSizeStats().max(), 2.0);
 }
 
+/** Submits @p jobs on four connections, 3 us apart, and runs until
+ *  they drain. */
+void
+runJobs(Harness& h, int jobs)
+{
+    const SimTime start = h.sim.now();
+    for (int i = 0; i < jobs; ++i) {
+        h.sim.scheduleAt(start + i * 3 * kMicrosecond, [&h, i] {
+            h.submit(static_cast<ConnectionId>(1 + i % 4));
+        });
+    }
+    h.sim.run();
+}
+
+TEST(Instance, BatchSlotsStayAtPeakConcurrency)
+{
+    // A batch holds a worker from start to completion, so however
+    // many batches run, the slots stay at most the thread count.
+    Harness h(eventLoopModel(2));
+    runJobs(h, 40);
+    const std::size_t slots = h.instance.batchSlots();
+    EXPECT_GE(slots, 1u);
+    EXPECT_LE(slots, static_cast<std::size_t>(h.instance.threads()));
+    const std::uint64_t batches = h.instance.executedBatches();
+    runJobs(h, 400);
+    EXPECT_EQ(h.completions.size(), 440u);
+    EXPECT_GT(h.instance.executedBatches(), 10 * batches);
+    EXPECT_EQ(h.instance.batchSlots(), slots);
+}
+
+TEST(Instance, CrashWithBatchesInFlightKeepsSlotsBounded)
+{
+    Harness h(eventLoopModel(3));
+    std::vector<JobPtr> killed;
+    h.instance.setOnJobFailed([&](JobPtr job, fault::FailReason) {
+        killed.push_back(std::move(job));
+    });
+    // Two workers are in proc (3-13 us) when the crash hits.  Job 4
+    // starts on the third worker while their dead batches are still
+    // running, so it must not share a slot with them: their empty
+    // completions at 13 us would otherwise cut its proc stage short.
+    h.submit(1);
+    h.submit(2);
+    h.sim.scheduleAt(5 * kMicrosecond, [&] { h.instance.crash(); });
+    h.sim.scheduleAt(6 * kMicrosecond, [&] {
+        h.instance.recover();
+        h.submit(4);
+    });
+    h.sim.run();
+    EXPECT_EQ(killed.size(), 2u);
+    EXPECT_EQ(h.instance.killedJobs(), 2u);
+    ASSERT_EQ(h.completions.size(), 1u);
+    EXPECT_EQ(h.completions[0].second, 14 * kMicrosecond);
+    EXPECT_EQ(h.instance.idleThreads(), 3);
+    const std::size_t slots = h.instance.batchSlots();
+    EXPECT_LE(slots, static_cast<std::size_t>(h.instance.threads()));
+
+    runJobs(h, 400);
+    EXPECT_EQ(h.completions.size(), 401u);
+    EXPECT_EQ(h.instance.batchSlots(), slots);
+}
+
 TEST(Instance, RejectsNullAndBadConfig)
 {
     Simulator sim;

@@ -6,12 +6,15 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <functional>
 #include <limits>
+#include <vector>
 
 #include "uqsim/random/rng.h"
 #include "uqsim/stats/confidence.h"
 #include "uqsim/stats/latency_histogram.h"
 #include "uqsim/stats/percentile_recorder.h"
+#include "uqsim/stats/running_quantile.h"
 #include "uqsim/stats/summary.h"
 #include "uqsim/stats/throughput_meter.h"
 #include "uqsim/stats/time_series.h"
@@ -159,6 +162,54 @@ TEST(PercentileRecorder, ExponentialTailMatchesTheory)
     (void)rng2;
     EXPECT_NEAR(recorder.p99(), std::log(100.0), 0.1);
     EXPECT_NEAR(recorder.p50(), std::log(2.0), 0.02);
+}
+
+// ------------------------------------------------------ RunningQuantile
+
+TEST(RunningQuantile, EmptyReturnsZero)
+{
+    RunningQuantile quantile(0.95);
+    EXPECT_EQ(quantile.count(), 0u);
+    EXPECT_EQ(quantile.value(), 0.0);
+}
+
+TEST(RunningQuantile, MatchesRecorderBitForBitAfterEveryAdd)
+{
+    // Streams with many ties: small integers, exponential latencies
+    // rounded to a 10 us grid, and a descending staircase (every
+    // value lands below the current quantile).
+    const std::vector<std::function<double(random::Rng&, int)>> streams = {
+        [](random::Rng& rng, int) {
+            return static_cast<double>(rng.nextBounded(40)) * 0.25;
+        },
+        [](random::Rng& rng, int) {
+            const double latency = -std::log(rng.nextDoubleOpenLeft());
+            return std::round(latency * 100.0) * 1e-5;
+        },
+        [](random::Rng&, int i) {
+            return static_cast<double>(5000 - i / 3) * 1e-6;
+        },
+    };
+    const double qs[] = {0.01, 0.5, 0.9, 0.95, 0.99, 0.999};
+    for (std::size_t s = 0; s < streams.size(); ++s) {
+        random::Rng rng(17 + s);
+        PercentileRecorder recorder;
+        std::vector<RunningQuantile> running;
+        for (const double q : qs)
+            running.emplace_back(q);
+        for (int i = 0; i < 3000; ++i) {
+            const double value = streams[s](rng, i);
+            recorder.add(value);
+            for (std::size_t k = 0; k < running.size(); ++k) {
+                running[k].add(value);
+                ASSERT_EQ(running[k].value(),
+                          recorder.percentile(qs[k] * 100.0))
+                    << "stream " << s << ", q " << qs[k] << ", after "
+                    << i + 1 << " samples";
+            }
+        }
+        EXPECT_EQ(running.front().count(), recorder.count());
+    }
 }
 
 // ---------------------------------------------------- LatencyHistogram
