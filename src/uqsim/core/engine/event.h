@@ -13,10 +13,10 @@
  *
  * Events live in slab-allocated pool slots owned by the EventQueue;
  * an EventHandle names a slot by (index, generation).  The
- * generation stamp is bumped every time a slot is released, so a
- * handle held past its event's execution simply stops matching —
- * a stale cancel() is a no-op, with no shared_ptr/weak_ptr control
- * blocks on the hot path.
+ * generation stamp is bumped every time a slot is released or its
+ * event is re-keyed (EventQueue::rekey), so a handle held past its
+ * event's execution simply stops matching — a stale cancel() is a
+ * no-op, with no shared_ptr/weak_ptr control blocks on the hot path.
  */
 
 #include <cstdint>
@@ -59,6 +59,9 @@ class EventHandle {
     bool pending() const;
 
   private:
+    /** EventQueue::rekey() moves the handle to the new generation. */
+    friend class EventQueue;
+
     EventQueue* queue_ = nullptr;
     std::uint32_t slot_ = 0;
     std::uint32_t generation_ = 0;

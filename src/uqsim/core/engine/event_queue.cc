@@ -296,6 +296,18 @@ EventQueue::heapRemoveAt(std::size_t pos)
 }
 
 void
+EventQueue::heapRekey(std::size_t pos, const HeapEntry& old,
+                      const HeapEntry& moved)
+{
+    // The parent sorts before old and the children after it, so an
+    // earlier key can only move up and a later one only down.
+    if (moved.before(old))
+        siftUp(pos, moved);
+    else
+        siftDown(pos, moved);
+}
+
+void
 EventQueue::siftUp(std::size_t pos, HeapEntry moving)
 {
     while (pos > 0) {

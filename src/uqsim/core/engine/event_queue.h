@@ -17,7 +17,9 @@
  * sift-down-heavy pop/cancel mix.  Every slot stores its heap
  * position, so cancellation removes the entry in O(log n) instead
  * of the old lazy cancelled-flag purge; a cancelled slot is
- * recycled immediately.
+ * recycled immediately.  rekey() moves a pending event to a new time
+ * with one in-place sift, keeping its slot and closure; the outcome
+ * is the one cancel() plus schedule() would give.
  */
 
 #include <cstddef>
@@ -62,6 +64,35 @@ class EventQueue {
         s.label = label;
         heapPush(index, when, s.sequence);
         return EventHandle(this, index, s.generation);
+    }
+
+    /**
+     * Moves the pending event named by @p handle to time @p when.
+     * Equivalent to cancelling it and scheduling the same action and
+     * label at @p when: the event keeps its slot, the slot's
+     * generation goes up by one, the event takes the next sequence
+     * number, and @p handle moves to the new generation (copies of
+     * the old handle stop being pending).  Unlike cancel plus
+     * schedule, the closure stays where it is and the heap entry
+     * sifts once.  Returns false and changes nothing when @p handle
+     * names no pending event (fired, cancelled, firing now, or a
+     * default handle).
+     */
+    bool
+    rekey(EventHandle& handle, SimTime when)
+    {
+        if (handle.queue_ != this)
+            return false;
+        Slot& s = *slotPtr(handle.slot_);
+        if (s.generation != handle.generation_ || s.heapIndex < 0)
+            return false;
+        const HeapEntry old{s.when, s.sequence, handle.slot_};
+        s.when = when;
+        s.sequence = nextSequence_++;
+        handle.generation_ = ++s.generation;
+        heapRekey(static_cast<std::size_t>(s.heapIndex), old,
+                  HeapEntry{when, s.sequence, handle.slot_});
+        return true;
     }
 
     /** True when no events remain. */
@@ -303,6 +334,10 @@ class EventQueue {
                   std::uint64_t sequence);
     void heapRemoveTop();
     void heapRemoveAt(std::size_t pos);
+    /** Restores heap order after the entry at @p pos changed from
+     *  @p old to @p moved. */
+    void heapRekey(std::size_t pos, const HeapEntry& old,
+                   const HeapEntry& moved);
     void siftUp(std::size_t pos, HeapEntry moving);
     void siftDown(std::size_t pos, HeapEntry moving);
 

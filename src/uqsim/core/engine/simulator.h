@@ -89,6 +89,21 @@ class Simulator {
     }
 
     /**
+     * Moves @p handle's pending event to absolute time @p when
+     * (>= now, checked as scheduleAt() checks it, before anything
+     * changes).  See EventQueue::rekey: the result is cancel() plus
+     * scheduleAt() of the same action, minus the closure rebuild.
+     * Returns false, changing nothing, when the event is not pending.
+     */
+    bool
+    rekeyAt(EventHandle& handle, SimTime when)
+    {
+        if (when < now_)
+            throwSchedulePast(when);
+        return queue_.rekey(handle, when);
+    }
+
+    /**
      * Runs until the queue drains, time exceeds @p until, more than
      * @p max_events fire, or stop() is called.
      *

@@ -60,8 +60,19 @@ FlowModel::linkId(const std::string& name) const
 }
 
 void
+FlowModel::requireRoutesMutable() const
+{
+    if (carried_) {
+        throw std::logic_error(
+            "flow model: routes cannot change once a transfer has been "
+            "carried; in-flight flows point into route storage");
+    }
+}
+
+void
 FlowModel::setRoute(int fromId, int toId, std::vector<int> path)
 {
+    requireRoutesMutable();
     for (int l : path) {
         if (l < 0 || static_cast<std::size_t>(l) >= links_.size())
             throw std::out_of_range("flow model route uses unknown "
@@ -76,6 +87,7 @@ FlowModel::setRoute(int fromId, int toId, std::vector<int> path)
 void
 FlowModel::addBackupRoute(int fromId, int toId, std::vector<int> path)
 {
+    requireRoutesMutable();
     auto it = routes_.find({fromId, toId});
     if (it == routes_.end()) {
         throw std::logic_error(
@@ -410,6 +422,7 @@ FlowModel::transit(const Machine* from, const Machine* to,
             std::move(done), label);
         return;
     }
+    carried_ = true;
     if (partitionActive_ &&
         crossesPartition(from->netId(), to->netId())) {
         dropMessage(std::move(dropped), DropReason::Unreachable,

@@ -16,9 +16,11 @@
  *
  * Topology-granular faults (docs/ARCHITECTURE.md §failure handling):
  * every link carries up/down and degradation state.  A transition
- * (setLinkDown / setLinkUp / setLinkDegradation) triggers an
- * incremental re-share — a downed link contributes zero capacity, a
- * degraded one its capacity multiplied down.  New transfers whose
+ * (setLinkDown / setLinkUp / setLinkDegradation) pushes the link's
+ * new capacity to the solver and re-shares — a downed link
+ * contributes zero capacity, a degraded one its capacity multiplied
+ * down.  The re-share fills only the links that carry flows and
+ * re-times only the flows whose rate changed.  New transfers whose
  * primary route crosses a dead link *fail over* deterministically to
  * the first all-up backup route (installed in fixed candidate
  * order); when no candidate survives, or a partition separates the
@@ -102,9 +104,10 @@ class FlowModel final : public NetworkModel {
     const Config& config() const { return config_; }
 
     // ------------------------------------------ fabric construction
-    // Links and routes must be installed before the simulation runs;
-    // route storage is referenced by in-flight flows and must not be
-    // mutated afterwards.
+    // Links and routes must be installed before the simulation runs.
+    // In-flight flows and failover picks point into route storage, so
+    // setRoute() and addBackupRoute() throw std::logic_error once
+    // transit() has carried a transfer.
 
     /** Adds a directional link; the name must be unique.  Returns
      *  the link id used in routes. */
@@ -155,7 +158,7 @@ class FlowModel final : public NetworkModel {
     }
 
     // ---------------------------------------------- topology faults
-    // Each transition triggers an incremental max-min re-share.
+    // Each transition triggers a max-min re-share.
     // Down states nest (a link downed twice needs two repairs), so
     // overlapping link_down and switch_down windows compose.
 
@@ -240,6 +243,8 @@ class FlowModel final : public NetworkModel {
 
     const std::vector<std::vector<int>>& routeOrThrow(
         const Machine& from, const Machine& to) const;
+    /** Throws std::logic_error once a transfer has been carried. */
+    void requireRoutesMutable() const;
     bool pathUp(const std::vector<int>& path) const;
     /** First all-up candidate (a RouteFailover choice point when
      *  several survive and a chooser is attached); nullptr when none
@@ -267,6 +272,9 @@ class FlowModel final : public NetworkModel {
     std::vector<std::string> switchNames_;
     std::vector<std::string> machineNames_;
 
+    /** Set by the first fabric transit(); the route setters throw
+     *  from then on. */
+    bool carried_ = false;
     /** Links currently down (downCount > 0); fast-path guard so
      *  fault-free transits never scan candidates. */
     int downLinkCount_ = 0;

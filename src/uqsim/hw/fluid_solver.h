@@ -7,14 +7,16 @@
  * (flow_model.h: the resources are links) and the disk (disk.h: the
  * read and write heads).  Each flow holds a max-min fair share of
  * every resource it crosses until its last byte moves; reshare()
- * recomputes the shares by progressive filling and reschedules only
- * the completions whose rate changed.  Flows iterate in id order,
- * never hash order, so the arithmetic is bit-reproducible.  Full
- * contract: docs/ARCHITECTURE.md §Fluid sharing.
+ * recomputes the shares by progressive filling over the loaded
+ * resources only (those some flow crosses, in ascending index order)
+ * and re-keys only the completions whose rate changed.  Flows sit in
+ * a flat table in id order, never hash order, so the arithmetic is
+ * bit-reproducible.  Full contract: docs/ARCHITECTURE.md §Fluid
+ * sharing.
  */
 
 #include <cstdint>
-#include <map>
+#include <utility>
 #include <vector>
 
 #include "uqsim/hw/network_model.h"
@@ -46,6 +48,10 @@ class FluidSolver {
         EventHandle completion;
     };
 
+    /** Active flows as (id, flow) pairs in ascending id order.  Ids
+     *  only grow, so insert() appends and erase() binary-searches. */
+    using FlowTable = std::vector<std::pair<std::uint64_t, Flow>>;
+
     /** Runs when a flow's last byte moves, after the flow left the
      *  table and before the re-share; flows it inserts join that
      *  re-share. */
@@ -70,14 +76,15 @@ class FluidSolver {
      *  next reshare(). */
     void insert(Flow flow);
     /** Removes a flow (advancing first) and cancels its completion;
-     *  throws std::out_of_range when @p id is not active. */
+     *  throws std::out_of_range, changing nothing, when @p id is not
+     *  active. */
     Flow erase(std::uint64_t id);
     /** Advances to now, recomputes the max-min allocation, and
-     *  reschedules the completions whose rate changed. */
+     *  re-times the completions whose rate changed. */
     void reshare();
 
     /** Active flows in id order. */
-    const std::map<std::uint64_t, Flow>& flows() const { return flows_; }
+    const FlowTable& flows() const { return flows_; }
     std::uint64_t nextId() const { return nextId_; }
     SimTime lastUpdate() const { return lastUpdate_; }
     std::uint64_t reshareCount() const { return reshares_; }
@@ -85,10 +92,9 @@ class FluidSolver {
     double busyTicks(SimTime now) const;
 
   private:
-    /** One active flow: its entry, its resources, and its newly
-     *  computed rate. */
+    /** The resources of flows_[i] and its newly computed rate, at
+     *  shares_[i]. */
     struct Share {
-        std::pair<const std::uint64_t, Flow>* entry;
         const int* first;
         const int* last;
         double rate;
@@ -96,8 +102,12 @@ class FluidSolver {
 
     /** Moves bytes and the busy integral to now at the old rates. */
     void advance();
-    /** Adds @p delta to crossing_ of each resource of @p flow. */
+    /** Adds @p delta to crossing_ of each resource of @p flow and
+     *  keeps loaded_ in step. */
     void count(const Flow& flow, int delta);
+    /** Points flow @p id's completion at @p when: re-keys the pending
+     *  event, or schedules one when none is pending. */
+    void retime(std::uint64_t id, Flow& flow, SimTime when);
     /** Completion event: the flow's last byte moved. */
     void finish(std::uint64_t id);
 
@@ -107,19 +117,24 @@ class FluidSolver {
     std::vector<double> capacity_;
     /** Active flows crossing each resource. */
     std::vector<int> crossing_;
-    std::map<std::uint64_t, Flow> flows_;
+    /** Resources with crossing_ > 0, in ascending index order. */
+    std::vector<int> loaded_;
+    FlowTable flows_;
     std::uint64_t nextId_ = 0;
     SimTime lastUpdate_ = 0;
     double busyTicks_ = 0.0;
     std::uint64_t reshares_ = 0;
 
     // Scratch reused across reshare() calls: per resource, the
-    // capacity left and the flows not yet fixed; per flow, its share.
+    // capacity left and the flows not yet fixed (set for loaded_
+    // only); per flow, its share.
     std::vector<double> capLeft_;
     std::vector<int> flowsOn_;
     std::vector<Share> shares_;
-    /** Indices into shares_ not yet fixed. */
+    /** Indices into shares_ not yet fixed, and those the current
+     *  round fixed. */
     std::vector<std::size_t> unfixed_;
+    std::vector<std::size_t> fixed_;
 };
 
 }  // namespace hw

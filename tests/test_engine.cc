@@ -1,8 +1,8 @@
 /**
  * @file
  * Unit tests for the DES engine: time, events, queue ordering,
- * cancellation, the slab event pool with generation-stamped handles,
- * and the simulator run loop.
+ * cancellation, re-keying, the slab event pool with
+ * generation-stamped handles, and the simulator run loop.
  */
 
 #include <gtest/gtest.h>
@@ -16,6 +16,7 @@
 #include "uqsim/core/engine/inline_function.h"
 #include "uqsim/core/engine/simulator.h"
 #include "uqsim/random/rng.h"
+#include "uqsim/snapshot/snapshot.h"
 
 namespace uqsim {
 namespace {
@@ -326,6 +327,162 @@ TEST(EventQueue, MoveOnlyActionsAreSupported)
     EXPECT_EQ(seen, 9);
 }
 
+// ------------------------------------------------------------- re-keying
+
+/** The queue's ENGINE snapshot fields (sequence counter, sizes,
+ *  pending and generation digests) as assembled bytes. */
+std::vector<std::uint8_t>
+engineSection(const EventQueue& queue)
+{
+    snapshot::SnapshotWriter writer;
+    writer.beginSection(snapshot::SectionId::Engine);
+    queue.saveState(writer);
+    writer.endSection();
+    return writer.assemble();
+}
+
+TEST(EventQueue, RekeyMatchesCancelPlusSchedule)
+{
+    // Two queues see one seeded stream of schedule, cancel, re-time
+    // and pop operations.  `plain` re-times with cancel() plus
+    // schedule() of a rebuilt action; `keyed` re-keys in place.
+    // After every operation the two must be indistinguishable.
+    struct Event {
+        const char* label;
+        EventHandle plain;
+        EventHandle keyed;
+    };
+    const char* const kLabels[] = {"a", "b", "c"};
+    random::Rng rng(20261017);
+    EventQueue plain;
+    EventQueue keyed;
+    std::vector<Event> events;
+    std::vector<std::size_t> plainFired;
+    std::vector<std::size_t> keyedFired;
+    SimTime now = 0;
+    int rekeyed = 0;
+    for (int op = 0; op < 4000; ++op) {
+        const std::uint64_t kind = rng.nextBounded(100);
+        if (kind < 30 || events.empty()) {
+            const SimTime when =
+                now + static_cast<SimTime>(rng.nextBounded(200));
+            const std::size_t id = events.size();
+            const char* label = kLabels[rng.nextBounded(3)];
+            events.push_back(Event{
+                label,
+                plain.schedule(
+                    when, [&plainFired, id]() { plainFired.push_back(id); },
+                    label),
+                keyed.schedule(
+                    when, [&keyedFired, id]() { keyedFired.push_back(id); },
+                    label)});
+        } else if (kind < 75) {
+            // Re-time or cancel a recent event, live or not.
+            const std::size_t window =
+                std::min<std::size_t>(events.size(), 48);
+            const std::size_t id =
+                events.size() - 1 -
+                static_cast<std::size_t>(rng.nextBounded(window));
+            Event& event = events[id];
+            const bool pending = event.plain.pending();
+            ASSERT_EQ(event.keyed.pending(), pending) << "op " << op;
+            if (kind < 60) {
+                const SimTime when =
+                    now + static_cast<SimTime>(rng.nextBounded(200));
+                const EventHandle old = event.keyed;
+                if (pending) {
+                    event.plain.cancel();
+                    event.plain = plain.schedule(
+                        when,
+                        [&plainFired, id]() { plainFired.push_back(id); },
+                        event.label);
+                    ++rekeyed;
+                }
+                EXPECT_EQ(keyed.rekey(event.keyed, when), pending);
+                if (pending) {
+                    EXPECT_TRUE(event.keyed.pending());
+                    EXPECT_FALSE(old.pending());
+                }
+            } else {
+                EXPECT_EQ(event.keyed.cancel(), event.plain.cancel());
+            }
+        } else {
+            EventQueue::FiredEvent a = plain.pop();
+            EventQueue::FiredEvent b = keyed.pop();
+            ASSERT_EQ(static_cast<bool>(a), static_cast<bool>(b));
+            if (a) {
+                EXPECT_EQ(a.when(), b.when()) << "op " << op;
+                EXPECT_EQ(a.sequence(), b.sequence()) << "op " << op;
+                EXPECT_STREQ(a.label(), b.label()) << "op " << op;
+                now = a.when();
+                a.invoke();
+                b.invoke();
+            }
+        }
+        ASSERT_EQ(plain.size(), keyed.size()) << "op " << op;
+        ASSERT_EQ(plain.freeSlots(), keyed.freeSlots()) << "op " << op;
+        ASSERT_EQ(plain.poolCapacity(), keyed.poolCapacity());
+        ASSERT_EQ(plain.scheduledCount(), keyed.scheduledCount());
+        ASSERT_EQ(engineSection(plain), engineSection(keyed))
+            << "op " << op;
+        ASSERT_TRUE(keyed.auditCheck().empty()) << "op " << op;
+    }
+    // The re-keyed closures are the original ones: every event fired
+    // its own action, in the same order in both queues.
+    EXPECT_EQ(plainFired, keyedFired);
+    EXPECT_GT(rekeyed, 300);
+    EXPECT_GT(plainFired.size(), 500u);
+}
+
+TEST(EventQueue, RekeyOfDeadHandlesChangesNothing)
+{
+    EventQueue queue;
+    EventHandle fired = queue.schedule(1, [] {}, "fired");
+    EventHandle cancelled = queue.schedule(2, [] {}, "cancelled");
+    EventHandle live = queue.schedule(3, [] {}, "live");
+    queue.pop().invoke();
+    ASSERT_TRUE(cancelled.cancel());
+    EventHandle none;
+    const std::vector<std::uint8_t> before = engineSection(queue);
+    EXPECT_FALSE(queue.rekey(fired, 10));
+    EXPECT_FALSE(queue.rekey(cancelled, 10));
+    EXPECT_FALSE(queue.rekey(none, 10));
+    EXPECT_EQ(engineSection(queue), before);
+    EXPECT_EQ(queue.scheduledCount(), 3u);
+    EXPECT_TRUE(queue.auditCheck().empty());
+
+    // An event re-keying itself while it fires is not pending in the
+    // heap, so nothing changes either.
+    EventHandle self;
+    bool selfRekeyed = true;
+    self = queue.schedule(
+        0, [&]() { selfRekeyed = queue.rekey(self, 20); }, "self");
+    queue.pop().invoke();
+    EXPECT_FALSE(selfRekeyed);
+    EXPECT_EQ(queue.scheduledCount(), 4u);
+    EXPECT_TRUE(live.pending());
+}
+
+TEST(EventQueue, RekeyRetiresCopiesOfTheOldHandle)
+{
+    EventQueue queue;
+    int fired = 0;
+    EventHandle handle = queue.schedule(5, [&]() { ++fired; }, "e");
+    const EventHandle copy = handle;
+    ASSERT_TRUE(queue.rekey(handle, 9));
+    EXPECT_FALSE(copy.pending());
+    EventHandle stale = copy;
+    EXPECT_FALSE(stale.cancel());
+    EXPECT_TRUE(handle.pending());
+    EXPECT_EQ(queue.size(), 1u);
+    EventQueue::FiredEvent event = queue.pop();
+    EXPECT_EQ(event.when(), 9);
+    EXPECT_EQ(event.sequence(), 1u);
+    EXPECT_STREQ(event.label(), "e");
+    event.invoke();
+    EXPECT_EQ(fired, 1);
+}
+
 // -------------------------------------------------------------- Simulator
 
 TEST(Simulator, ClockAdvancesWithEvents)
@@ -406,6 +563,25 @@ TEST(Simulator, SchedulingInPastThrows)
     sim.run();
     EXPECT_THROW(sim.scheduleAt(5, [] {}), std::logic_error);
     EXPECT_THROW(sim.scheduleAfter(-1, [] {}), std::logic_error);
+}
+
+TEST(Simulator, RekeyIntoThePastThrowsAndChangesNothing)
+{
+    Simulator sim;
+    sim.scheduleAt(10, [] {});
+    EventHandle later = sim.scheduleAt(20, [] {}, "later");
+    sim.run(15);
+    ASSERT_EQ(sim.now(), 15);
+    const std::uint64_t scheduled = sim.queue().scheduledCount();
+    const std::vector<std::uint8_t> before = engineSection(sim.queue());
+    EXPECT_THROW(sim.rekeyAt(later, 14), std::logic_error);
+    EXPECT_TRUE(later.pending());
+    EXPECT_EQ(sim.queue().scheduledCount(), scheduled);
+    EXPECT_EQ(engineSection(sim.queue()), before);
+    // Now is not the past.
+    EXPECT_TRUE(sim.rekeyAt(later, 15));
+    sim.run();
+    EXPECT_EQ(sim.now(), 15);
 }
 
 TEST(Simulator, MakeStreamIsDeterministic)

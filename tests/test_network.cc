@@ -1,18 +1,21 @@
 /**
  * @file
  * Network-model tests: the fluid solver's max-min fair shares against
- * closed forms, FlowModel timing against analytical incast shares,
- * the rate-unchanged reschedule skip, fat-tree
- * generator invariants, machines.json schema v2 validation, the
- * capacity-doubling metamorphic property, and FlowModel digest
- * determinism across runner thread counts.
+ * closed forms and, over random churn, against a full-scan filling
+ * bit for bit; FlowModel timing against analytical incast shares,
+ * the route freeze once transfers flow, the rate-unchanged reschedule
+ * skip, fat-tree generator invariants, machines.json schema v2
+ * validation, the capacity-doubling metamorphic property, and
+ * FlowModel digest determinism across runner thread counts.
  */
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <limits>
 #include <memory>
 #include <string>
+#include <tuple>
 #include <vector>
 
 #include "uqsim/core/sim/simulation.h"
@@ -22,6 +25,7 @@
 #include "uqsim/hw/topology.h"
 #include "uqsim/json/json_parser.h"
 #include "uqsim/models/applications.h"
+#include "uqsim/random/rng.h"
 #include "uqsim/runner/sweep_runner.h"
 
 namespace uqsim {
@@ -99,6 +103,220 @@ TEST(MaxMinFairShares, EmptyPathConsumesNothing)
     EXPECT_DOUBLE_EQ(rates[1], 8.0);
 }
 
+/** Progressive filling written out over *every* resource in index
+ *  order, flows in the given (id) order: the reference the solver,
+ *  which fills over its loaded resources only, must match bit for
+ *  bit. */
+std::vector<double>
+referenceFilling(const std::vector<double>& capacities,
+                 const std::vector<const std::vector<int>*>& paths)
+{
+    std::vector<double> capLeft = capacities;
+    std::vector<int> flowsOn(capacities.size(), 0);
+    for (const std::vector<int>* path : paths) {
+        for (const int r : *path)
+            ++flowsOn[static_cast<std::size_t>(r)];
+    }
+    std::vector<double> rates(paths.size(), 0.0);
+    std::vector<bool> fixed(paths.size(), false);
+    while (true) {
+        double best = std::numeric_limits<double>::infinity();
+        std::size_t tightest = capacities.size();
+        for (std::size_t r = 0; r < capacities.size(); ++r) {
+            if (flowsOn[r] > 0 && capLeft[r] / flowsOn[r] < best) {
+                best = capLeft[r] / flowsOn[r];
+                tightest = r;
+            }
+        }
+        if (tightest == capacities.size())
+            return rates;
+        for (std::size_t f = 0; f < paths.size(); ++f) {
+            const std::vector<int>& path = *paths[f];
+            if (fixed[f] ||
+                std::find(path.begin(), path.end(),
+                          static_cast<int>(tightest)) == path.end())
+                continue;
+            fixed[f] = true;
+            rates[f] = best;
+            for (const int r : path) {
+                const auto ri = static_cast<std::size_t>(r);
+                capLeft[ri] = std::max(capLeft[ri] - best, 0.0);
+                --flowsOn[ri];
+            }
+        }
+    }
+}
+
+TEST(FluidSolver, RatesMatchFullFillingBitForBit)
+{
+    // Random inserts, erases, capacity changes and completions over
+    // 24 resources whose capacities are drawn from a few values (so
+    // equal-split ties are common) including 0 (stalled flows).
+    // After every step, and so after every re-share, each rate must
+    // equal the full-scan reference exactly.
+    constexpr std::size_t kResources = 24;
+    const double kCapacities[] = {0.0, 1e6, 1e6, 1e6, 2e6, 2e6, 5e5};
+    random::Rng rng(424242);
+    Simulator sim(1);
+    std::uint64_t finished = 0;
+    hw::FluidSolver solver(
+        "test/flow", [&](const hw::FluidSolver::Flow&) { ++finished; });
+    solver.bind(sim);
+    std::vector<double> capacities;
+    for (std::size_t r = 0; r < kResources; ++r) {
+        capacities.push_back(kCapacities[rng.nextBounded(7)]);
+        solver.addResource(capacities.back());
+    }
+    // Paths outlive their flows, as the adapters' route storage does.
+    std::vector<std::unique_ptr<std::vector<int>>> paths;
+    std::vector<bool> wasLoaded(kResources, false);
+    std::vector<bool> wentIdle(kResources, false);
+    int reloaded = 0;
+    int stalledChecks = 0;
+
+    const auto check = [&](int step) {
+        std::vector<const std::vector<int>*> active;
+        std::vector<bool> loaded(kResources, false);
+        for (const auto& [id, flow] : solver.flows()) {
+            active.push_back(flow.resources);
+            for (const int r : *flow.resources)
+                loaded[static_cast<std::size_t>(r)] = true;
+        }
+        const std::vector<double> expected =
+            referenceFilling(capacities, active);
+        std::size_t i = 0;
+        for (const auto& [id, flow] : solver.flows()) {
+            EXPECT_EQ(flow.rate, expected[i])
+                << "step " << step << ", flow " << id;
+            // A flow with a rate has a completion; a stalled one
+            // waits for the next re-share without one.
+            if (flow.rate > 0.0) {
+                EXPECT_TRUE(flow.completion.pending()) << "step " << step;
+            } else if (flow.remainingBytes > 0.0) {
+                EXPECT_FALSE(flow.completion.pending()) << "step " << step;
+                ++stalledChecks;
+            }
+            ++i;
+        }
+        for (std::size_t r = 0; r < kResources; ++r) {
+            if (wasLoaded[r] && !loaded[r])
+                wentIdle[r] = true;
+            else if (wentIdle[r] && loaded[r] && !wasLoaded[r])
+                ++reloaded;
+            wasLoaded[r] = loaded[r];
+        }
+    };
+
+    for (int step = 0; step < 3000; ++step) {
+        const std::uint64_t kind = rng.nextBounded(100);
+        if (kind < 35 || solver.flows().empty()) {
+            // Paths draw from a window that drifts over the steps, so
+            // resources fall idle and later carry flows again.
+            const std::size_t base =
+                static_cast<std::size_t>(step / 200) % kResources;
+            auto path = std::make_unique<std::vector<int>>();
+            const std::uint64_t hops = 1 + rng.nextBounded(4);
+            for (std::uint64_t h = 0; h < hops; ++h) {
+                const int r = static_cast<int>(
+                    (base + rng.nextBounded(10)) % kResources);
+                if (std::find(path->begin(), path->end(), r) ==
+                    path->end())
+                    path->push_back(r);
+            }
+            hw::FluidSolver::Flow flow;
+            flow.resources = path.get();
+            flow.sizeBytes = 1 + rng.nextBounded(200000);
+            flow.label = "test/done";
+            flow.done = []() {};
+            paths.push_back(std::move(path));
+            solver.insert(std::move(flow));
+            solver.reshare();
+        } else if (kind < 45) {
+            const auto& table = solver.flows();
+            const std::uint64_t id =
+                table[rng.nextBounded(table.size())].first;
+            solver.erase(id);
+            solver.reshare();
+        } else if (kind < 60) {
+            const std::size_t r = rng.nextBounded(kResources);
+            capacities[r] = kCapacities[rng.nextBounded(7)];
+            solver.setCapacity(static_cast<int>(r), capacities[r]);
+            solver.reshare();
+        } else {
+            // Fire one event: a completion (which re-shares) or the
+            // tail event that delivers a finished flow.
+            sim.run(kSimTimeMax, sim.executedEvents() + 1);
+        }
+        check(step);
+    }
+    EXPECT_GT(reloaded, 10) << "resources never went idle and back";
+    EXPECT_GT(stalledChecks, 0) << "no flow ever stalled";
+
+    // With every capacity positive, everything left finishes.
+    for (std::size_t r = 0; r < kResources; ++r) {
+        if (capacities[r] == 0.0) {
+            capacities[r] = 1e6;
+            solver.setCapacity(static_cast<int>(r), capacities[r]);
+        }
+    }
+    solver.reshare();
+    check(-1);
+    while (sim.run(kSimTimeMax, sim.executedEvents() + 1) ==
+           StopReason::EventLimit)
+        check(-1);
+    EXPECT_TRUE(solver.flows().empty());
+    EXPECT_GT(finished, 100u);
+}
+
+TEST(FluidSolver, EraseOfUnknownIdThrowsAndKeepsTheTable)
+{
+    Simulator sim(1);
+    hw::FluidSolver solver("test/flow", {});
+    solver.bind(sim);
+    solver.addResource(1e6);
+    const std::vector<int> path{0};
+    for (const std::uint64_t bytes : {1000u, 4000u, 9000u}) {
+        hw::FluidSolver::Flow flow;
+        flow.resources = &path;
+        flow.sizeBytes = bytes;
+        flow.label = "test/done";
+        flow.done = []() {};
+        solver.insert(std::move(flow));
+    }
+    solver.reshare();
+    // Run until flow 0 has finished and its tail event fired.
+    while (solver.flows().front().first == 0)
+        sim.run(kSimTimeMax, sim.executedEvents() + 1);
+    sim.run(kSimTimeMax, sim.executedEvents() + 1);
+    ASSERT_EQ(solver.flows().size(), 2u);
+
+    const auto snapshotOf = [&solver]() {
+        std::vector<std::tuple<std::uint64_t, double, double, bool>> rows;
+        for (const auto& [id, flow] : solver.flows()) {
+            rows.emplace_back(id, flow.remainingBytes, flow.rate,
+                              flow.completion.pending());
+        }
+        return rows;
+    };
+    const auto before = snapshotOf();
+    const SimTime lastUpdate = solver.lastUpdate();
+    const std::uint64_t reshares = solver.reshareCount();
+    sim.scheduleAt(sim.now() + 100, []() {}, "test/later");
+    sim.run(kSimTimeMax, sim.executedEvents() + 1);
+    for (const std::uint64_t id : {std::uint64_t{0}, std::uint64_t{3},
+                                   std::uint64_t{77}}) {
+        EXPECT_THROW(solver.erase(id), std::out_of_range) << id;
+        EXPECT_EQ(snapshotOf(), before) << id;
+        EXPECT_EQ(solver.lastUpdate(), lastUpdate) << id;
+        EXPECT_EQ(solver.reshareCount(), reshares) << id;
+        EXPECT_EQ(solver.nextId(), 3u) << id;
+    }
+    // Known ids still erase, from the middle of the table too.
+    EXPECT_EQ(solver.erase(1).sizeBytes, 4000u);
+    ASSERT_EQ(solver.flows().size(), 1u);
+    EXPECT_EQ(solver.flows().front().first, 2u);
+}
+
 // --------------------------------------------------- FlowModel timing
 
 /** No IRQ cores: transfer timing is purely the flow model's. */
@@ -161,6 +379,57 @@ TEST(FlowModel, MissingRouteThrows)
     hw::Machine& b = cluster.addMachine(bareMachine("b"));
     EXPECT_THROW(cluster.network().transfer(&a, &b, 100, []() {}),
                  std::logic_error);
+}
+
+// In-flight flows and sticky failover picks point into the route
+// candidates, so once a transfer has been carried a route change
+// would swap a flow's links under it (erase() would then release
+// the wrong links) or reallocate the candidates under the pointers.
+
+TEST(FlowModel, SetRouteThrowsOnceATransferWasCarried)
+{
+    Simulator sim(1);
+    auto model = FlowModel::make();
+    FlowModel* flow_model = model.get();
+    const int ab = flow_model->addLink({"ab", 1e6, 0.0});
+    const int alt = flow_model->addLink({"alt", 1e6, 0.0});
+    flow_model->setRoute(0, 1, {alt});
+    Cluster cluster(sim, std::move(model));
+    hw::Machine& a = cluster.addMachine(bareMachine("a"));
+    hw::Machine& b = cluster.addMachine(bareMachine("b"));
+    // Bound but not yet carrying: routes may still change.
+    flow_model->setRoute(0, 1, {ab});
+
+    cluster.network().transfer(&a, &b, 500000, []() {});
+    ASSERT_EQ(flow_model->activeFlowCount(), 1u);
+    EXPECT_THROW(flow_model->setRoute(0, 1, {alt}), std::logic_error);
+    EXPECT_THROW(flow_model->setRoute(1, 0, {alt}), std::logic_error);
+    EXPECT_EQ(flow_model->route(0, 1), std::vector<int>{ab});
+    EXPECT_FALSE(flow_model->hasRoute(1, 0));
+    sim.run();
+    EXPECT_EQ(flow_model->flowsFinished(), 1u);
+    EXPECT_EQ(flow_model->activeFlowCount(), 0u);
+}
+
+TEST(FlowModel, AddBackupRouteThrowsOnceATransferWasCarried)
+{
+    Simulator sim(1);
+    auto model = FlowModel::make();
+    FlowModel* flow_model = model.get();
+    const int ab = flow_model->addLink({"ab", 1e6, 0.0});
+    const int alt = flow_model->addLink({"alt", 1e6, 0.0});
+    flow_model->setRoute(0, 1, {ab});
+    Cluster cluster(sim, std::move(model));
+    hw::Machine& a = cluster.addMachine(bareMachine("a"));
+    hw::Machine& b = cluster.addMachine(bareMachine("b"));
+    flow_model->addBackupRoute(0, 1, {alt});
+
+    cluster.network().transfer(&a, &b, 500000, []() {});
+    EXPECT_THROW(flow_model->addBackupRoute(0, 1, {alt}),
+                 std::logic_error);
+    EXPECT_EQ(flow_model->routeCandidates(0, 1).size(), 2u);
+    sim.run();
+    EXPECT_EQ(flow_model->flowsFinished(), 1u);
 }
 
 TEST(FlowModel, RejectsZeroCapacityAndDuplicateLinks)
