@@ -64,43 +64,48 @@ Dispatcher::RootState*
 Dispatcher::findRoot(JobId root)
 {
     const auto it = roots_.find(root);
-    return it == roots_.end() ? nullptr : it->second.get();
+    return it == roots_.end() ? nullptr : &it->second;
 }
 
-std::unique_ptr<Dispatcher::RootState>
-Dispatcher::acquireRoot(std::size_t node_count)
+Dispatcher::RootState&
+Dispatcher::insertRoot(JobId root, std::size_t node_count)
 {
-    std::unique_ptr<RootState> state;
-    if (!rootPool_.empty()) {
-        state = std::move(rootPool_.back());
-        rootPool_.pop_back();
+    // Root ids only grow, so the new record belongs at the end.
+    RootMap::iterator it;
+    if (rootPool_.empty()) {
+        it = roots_.try_emplace(roots_.end(), root);
     } else {
-        state = std::make_unique<RootState>();
+        RootMap::node_type node = std::move(rootPool_.back());
+        rootPool_.pop_back();
+        node.key() = root;
+        it = roots_.insert(roots_.end(), std::move(node));
     }
-    state->variant = 0;
-    state->affinity.assign(deployment_.names().size(), nullptr);
-    state->syncArrived.clear();
-    state->hops.clear();
+    RootState& state = it->second;
+    state.variant = 0;
+    state.affinity.assign(deployment_.names().size(), nullptr);
+    state.syncArrived.clear();
+    state.hops.clear();
     // hopStates only grows; entries beyond this variant's node count
     // are disengaged and harmless.
-    if (state->hopStates.size() < node_count)
-        state->hopStates.resize(node_count);
-    state->terminalsDone = 0;
-    state->clientTag = -1;
-    state->created = 0;
-    state->frontId = NameInterner::kNone;
+    if (state.hopStates.size() < node_count)
+        state.hopStates.resize(node_count);
+    state.terminalsDone = 0;
+    state.clientTag = -1;
+    state.created = 0;
+    state.frontId = NameInterner::kNone;
     return state;
 }
 
 void
-Dispatcher::recycleRoot(std::unique_ptr<RootState> state)
+Dispatcher::recycleRoot(RootMap::node_type node)
 {
     // Drop job references (prototypes, attempt lists) now rather
     // than at reuse, matching the old destroy-on-completion timing.
-    for (const int node_id : state->engagedHops)
-        state->hopStates[static_cast<std::size_t>(node_id)].reset();
-    state->engagedHops.clear();
-    rootPool_.push_back(std::move(state));
+    RootState& state = node.mapped();
+    for (const int node_id : state.engagedHops)
+        state.hopStates[static_cast<std::size_t>(node_id)].reset();
+    state.engagedHops.clear();
+    rootPool_.push_back(std::move(node));
 }
 
 std::uint64_t
@@ -198,9 +203,7 @@ Dispatcher::startRequest(JobPtr job, MicroserviceInstance& front,
             "\" does not serve root node service \"" + root.service +
             "\"");
     }
-    std::unique_ptr<RootState> fresh = acquireRoot(variant.nodes.size());
-    RootState& state = *fresh;
-    roots_[job->rootId] = std::move(fresh);
+    RootState& state = insertRoot(job->rootId, variant.nodes.size());
     state.variant = job->pathVariant;
     state.affinity[root.serviceId] = &front;
     state.clientTag = job->clientTag;
@@ -215,9 +218,11 @@ Dispatcher::startRequest(JobPtr job, MicroserviceInstance& front,
     job->connectionId = client_conn;
     const int node_id = variant.rootId;
     const JobId root_id = job->rootId;
+    const std::uint32_t bytes = job->bytes;
     MicroserviceInstance* target = &front;
-    network_.transfer(nullptr, front.machine(), job->bytes,
-                      [this, job, node_id, target]() mutable {
+    network_.transfer(nullptr, front.machine(), bytes,
+                      [this, job = std::move(job), node_id,
+                       target]() mutable {
                           deliver(std::move(job), node_id, *target);
                       },
                       [this, root_id](hw::DropReason reason) {
@@ -276,7 +281,8 @@ Dispatcher::routeToNode(JobPtr job, int node_id,
         // no network, connection unchanged.
         sim_.scheduleAfter(
             0,
-            [this, job, node_id, t = &target]() mutable {
+            [this, job = std::move(job), node_id,
+             t = &target]() mutable {
                 deliver(std::move(job), node_id, *t);
             },
             "dispatch/local");
@@ -301,24 +307,30 @@ Dispatcher::routeToNode(JobPtr job, int node_id,
                        hop.downstream == from;
             });
     }
+    const JobId root = job->rootId;
+    const std::uint32_t bytes = job->bytes;
     if (hop_it != state.hops.end()) {
-        const ForwardHop hop = *hop_it;
+        // Capture the pool and connection, not the whole hop, so the
+        // delivery closure stays within the callback's inline bytes.
+        ConnectionPool* pool = hop_it->pool;
+        const ConnectionId conn = hop_it->conn;
         state.hops.erase(hop_it);
-        job->connectionId = hop.conn;
+        job->connectionId = conn;
         network_.transfer(
             from != nullptr ? from->machine() : nullptr,
-            target.machine(), job->bytes,
-            [this, job, node_id, t = &target, hop]() mutable {
+            target.machine(), bytes,
+            [this, job = std::move(job), node_id, t = &target, pool,
+             conn]() mutable {
                 // Response received: the connection is free for the
                 // next request (HTTP/1.1 reuse).
-                hop.pool->release(hop.conn);
+                pool->release(conn);
                 deliver(std::move(job), node_id, *t);
             },
-            [this, root = job->rootId, hop](hw::DropReason reason) {
+            [this, root, pool, conn](hw::DropReason reason) {
                 // Response lost in transit; the connection still
                 // frees (it was past the pool when the hop record
                 // was erased above).
-                hop.pool->release(hop.conn);
+                pool->release(conn);
                 onEdgeDrop(root, reason, NameInterner::kNone);
             });
         return;
@@ -328,8 +340,8 @@ Dispatcher::routeToNode(JobPtr job, int node_id,
     // the pool is exhausted).
     if (from != nullptr) {
         ConnectionPool* pool = &deployment_.pool(*from, target);
-        const JobId root = job->rootId;
-        pool->acquire([this, job, node_id, from, t = &target, pool,
+        pool->acquire([this, job = std::move(job), node_id, from,
+                       t = &target, pool,
                        root](ConnectionId conn) mutable {
             RootState* st = findRoot(root);
             if (st == nullptr) {
@@ -351,11 +363,12 @@ Dispatcher::routeToNode(JobPtr job, int node_id,
     }
 
     // Hop from outside the cluster (no pool).
-    network_.transfer(nullptr, target.machine(), job->bytes,
-                      [this, job, node_id, t = &target]() mutable {
+    network_.transfer(nullptr, target.machine(), bytes,
+                      [this, job = std::move(job), node_id,
+                       t = &target]() mutable {
                           deliver(std::move(job), node_id, *t);
                       },
-                      [this, root = job->rootId](hw::DropReason reason) {
+                      [this, root](hw::DropReason reason) {
                           onEdgeDrop(root, reason,
                                      NameInterner::kNone);
                       });
@@ -494,8 +507,9 @@ Dispatcher::finishRequest(JobPtr job, MicroserviceInstance& last)
     if (++state.terminalsDone < variant.terminalCount)
         return;
     const JobId root_id = job->rootId;
-    network_.transfer(last.machine(), nullptr, job->bytes,
-                      [this, job]() mutable {
+    const std::uint32_t bytes = job->bytes;
+    network_.transfer(last.machine(), nullptr, bytes,
+                      [this, job = std::move(job)]() mutable {
                           completeAtClient(std::move(job));
                       },
                       [this, root_id](hw::DropReason reason) {
@@ -507,18 +521,20 @@ Dispatcher::finishRequest(JobPtr job, MicroserviceInstance& last)
 void
 Dispatcher::completeAtClient(JobPtr job)
 {
-    const auto it = roots_.find(job->rootId);
-    if (it != roots_.end()) {
-        std::unique_ptr<RootState> state = std::move(it->second);
-        roots_.erase(it);
-        cancelHopEvents(*state);
-        decrementInflight(state->frontId);
+    // Extract the record before any release: releasing connections
+    // can synchronously run pool waiters that re-enter the
+    // dispatcher.
+    RootMap::node_type node = roots_.extract(job->rootId);
+    if (!node.empty()) {
+        RootState& state = node.mapped();
+        cancelHopEvents(state);
+        decrementInflight(state.frontId);
         // Defensive cleanup; well-formed paths leave nothing behind.
-        for (const ForwardHop& hop : state->hops) {
+        for (const ForwardHop& hop : state.hops) {
             hop.pool->release(hop.conn);
             ++leakedHops_;
         }
-        recycleRoot(std::move(state));
+        recycleRoot(std::move(node));
     }
     leakedBlocks_ +=
         static_cast<std::uint64_t>(blocks_.unblock(job->rootId, ""));
@@ -917,25 +933,24 @@ void
 Dispatcher::failRequest(JobId root, fault::FailReason reason,
                         std::uint32_t tier_id)
 {
-    const auto it = roots_.find(root);
-    if (it == roots_.end())
-        return;
-    // Move the state out before any release: releasing connections
+    // Extract the record before any release: releasing connections
     // can synchronously run pool waiters that re-enter the
     // dispatcher.
-    std::unique_ptr<RootState> state = std::move(it->second);
-    roots_.erase(it);
-    cancelHopEvents(*state);
-    for (const ForwardHop& hop : state->hops)
+    RootMap::node_type node = roots_.extract(root);
+    if (node.empty())
+        return;
+    RootState& state = node.mapped();
+    cancelHopEvents(state);
+    for (const ForwardHop& hop : state.hops)
         hop.pool->release(hop.conn);
     blocks_.unblock(root, "");
-    decrementInflight(state->frontId);
+    decrementInflight(state.frontId);
     ++failed_;
-    ++tierFault(tier_id == NameInterner::kNone ? state->frontId : tier_id)
+    ++tierFault(tier_id == NameInterner::kNone ? state.frontId : tier_id)
           .errors;
     if (onRequestFailed_)
-        onRequestFailed_(root, state->clientTag, state->created, reason);
-    recycleRoot(std::move(state));
+        onRequestFailed_(root, state.clientTag, state.created, reason);
+    recycleRoot(std::move(node));
 }
 
 std::uint64_t
@@ -945,19 +960,19 @@ Dispatcher::activeStateDigest() const
     // Active roots in JobId order (std::map).
     for (const auto& [root, state] : roots_) {
         digest.u64(root);
-        digest.i64(state->variant);
-        digest.i64(state->terminalsDone);
-        digest.i64(state->clientTag);
-        digest.i64(state->created);
-        digest.u32(state->frontId);
-        for (const MicroserviceInstance* sticky : state->affinity)
+        digest.i64(state.variant);
+        digest.i64(state.terminalsDone);
+        digest.i64(state.clientTag);
+        digest.i64(state.created);
+        digest.u32(state.frontId);
+        for (const MicroserviceInstance* sticky : state.affinity)
             digest.i64(sticky == nullptr ? -1 : sticky->uid());
-        for (const auto& [node, arrived] : state->syncArrived) {
+        for (const auto& [node, arrived] : state.syncArrived) {
             digest.i64(node);
             digest.i64(arrived);
         }
-        digest.u64(state->hops.size());
-        for (const ForwardHop& hop : state->hops) {
+        digest.u64(state.hops.size());
+        for (const ForwardHop& hop : state.hops) {
             digest.i64(hop.upstream == nullptr ? -1
                                                : hop.upstream->uid());
             digest.i64(hop.downstream == nullptr
@@ -965,10 +980,10 @@ Dispatcher::activeStateDigest() const
                            : hop.downstream->uid());
             digest.i64(hop.conn);
         }
-        digest.u64(state->engagedHops.size());
-        for (const int node_id : state->engagedHops) {
+        digest.u64(state.engagedHops.size());
+        for (const int node_id : state.engagedHops) {
             const HopState& hop =
-                state->hopStates[static_cast<std::size_t>(node_id)];
+                state.hopStates[static_cast<std::size_t>(node_id)];
             digest.i64(node_id);
             digest.boolean(hop.policy != nullptr);
             digest.u32(hop.serviceId);

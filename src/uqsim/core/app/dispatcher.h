@@ -234,10 +234,10 @@ class Dispatcher {
     };
 
     /**
-     * Per-root-request routing state.  RootStates are recycled
-     * through a free list: every container below keeps its capacity
-     * across requests, so steady-state request turnover performs no
-     * heap allocation here.
+     * Per-root-request routing state.  RootStates are recycled with
+     * their roots_ map nodes (rootPool_): every container below
+     * keeps its capacity across requests, so steady-state request
+     * turnover performs no heap allocation here.
      */
     struct RootState {
         int variant = 0;
@@ -259,14 +259,16 @@ class Dispatcher {
         std::uint32_t frontId = 0xFFFFFFFFu;
     };
 
+    using RootMap = std::map<JobId, RootState>;
+
     /** Nullable lookup; null after the request completed or failed. */
     RootState* findRoot(JobId root);
-    /** Takes a recycled (or fresh) RootState sized for a variant
-     *  with @p node_count nodes. */
-    std::unique_ptr<RootState> acquireRoot(std::size_t node_count);
-    /** Returns a finished RootState to the free list, dropping its
-     *  job references. */
-    void recycleRoot(std::unique_ptr<RootState> state);
+    /** Inserts a recycled (or fresh) RootState under @p root, reset
+     *  and sized for a variant with @p node_count nodes. */
+    RootState& insertRoot(JobId root, std::size_t node_count);
+    /** Parks a finished root's extracted node in rootPool_, dropping
+     *  its job references. */
+    void recycleRoot(RootMap::node_type node);
     MicroserviceInstance& selectInstance(RootState& state,
                                          const PathNode& node);
     void routeToNode(JobPtr job, int node_id,
@@ -340,9 +342,10 @@ class Dispatcher {
     random::RngStream retryRng_;
     JobFactory jobs_;
     BlockRegistry blocks_;
-    std::map<JobId, std::unique_ptr<RootState>> roots_;
-    /** Finished RootStates awaiting reuse (capacity retained). */
-    std::vector<std::unique_ptr<RootState>> rootPool_;
+    RootMap roots_;
+    /** Extracted nodes of finished roots awaiting reuse under a new
+     *  root id (each RootState's capacity retained). */
+    std::vector<RootMap::node_type> rootPool_;
     /** Edge-keyed breaker + latency state, keyed by packed
      *  (from id << 32 | to id).  Only iterated for order-independent
      *  sums, so the unordered layout cannot affect determinism. */

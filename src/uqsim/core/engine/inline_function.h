@@ -11,8 +11,11 @@
  * InlineFunction sizes its buffer per use site so the common capture
  * sets stay inline, and supports move-only captures (e.g. another
  * InlineFunction, a unique_ptr), which std::function cannot hold.
- * Callables larger than the buffer fall back to a single heap
- * allocation — correct, just not free.
+ *
+ * A callable larger than the buffer spills to a block from per-thread
+ * free lists in 64-byte size classes (SpillBlocks), so a warm run
+ * recycles spill blocks instead of allocating them.  Callables over
+ * 512 bytes, and over-aligned ones, take a plain heap allocation.
  */
 
 #include <cstddef>
@@ -21,6 +24,80 @@
 #include <utility>
 
 namespace uqsim {
+
+/**
+ * Per-thread free lists of InlineFunction spill blocks, one list per
+ * 64-byte size class up to kMaxBytes.  Every block is its own
+ * ::operator new allocation, so a block freed on another thread than
+ * the one that took it simply joins that thread's list: no lock.  A
+ * thread's lists are returned to the heap when the thread exits.
+ */
+class SpillBlocks {
+  public:
+    static constexpr std::size_t kClassBytes = 64;
+    static constexpr std::size_t kMaxBytes = 512;
+
+    /** Size class of a @p bytes block (1 <= bytes <= kMaxBytes). */
+    static constexpr std::size_t
+    sizeClass(std::size_t bytes)
+    {
+        return (bytes - 1) / kClassBytes;
+    }
+
+    static void*
+    take(std::size_t size_class)
+    {
+        if (!closed_) {
+            Lists& lists = lists_;
+            if (Block* block = lists.heads[size_class]) {
+                lists.heads[size_class] = block->next;
+                return block;
+            }
+        }
+        return ::operator new((size_class + 1) * kClassBytes);
+    }
+
+    static void
+    give(void* block, std::size_t size_class) noexcept
+    {
+        if (closed_) {
+            ::operator delete(block);
+            return;
+        }
+        Lists& lists = lists_;
+        Block* freed = ::new (block) Block{lists.heads[size_class]};
+        lists.heads[size_class] = freed;
+    }
+
+  private:
+    struct Block {
+        Block* next;
+    };
+
+    struct Lists {
+        Block* heads[kMaxBytes / kClassBytes] = {};
+
+        ~Lists()
+        {
+            for (Block*& head : heads) {
+                while (head != nullptr) {
+                    Block* block = head;
+                    head = block->next;
+                    ::operator delete(block);
+                }
+            }
+            closed_ = true;
+        }
+    };
+
+    /** Set once this thread's lists are gone (thread exit); later
+     *  spills fall back to the heap. */
+    static thread_local bool closed_;
+    static thread_local Lists lists_;
+};
+
+inline thread_local bool SpillBlocks::closed_ = false;
+inline thread_local SpillBlocks::Lists SpillBlocks::lists_;
 
 template <typename Signature, std::size_t InlineBytes>
 class InlineFunction;
@@ -41,6 +118,18 @@ class InlineFunction<R(Args...), InlineBytes> {
             ::new (static_cast<void*>(storage_))
                 Fn(std::forward<F>(fn));
             ops_ = &InlineOps<Fn>::ops;
+        } else if constexpr (pooledSpill<Fn>()) {
+            constexpr std::size_t size_class =
+                SpillBlocks::sizeClass(sizeof(Fn));
+            void* block = SpillBlocks::take(size_class);
+            try {
+                ::new (static_cast<void*>(storage_))
+                    Fn*(::new (block) Fn(std::forward<F>(fn)));
+            } catch (...) {
+                SpillBlocks::give(block, size_class);
+                throw;
+            }
+            ops_ = &HeapOps<Fn>::ops;
         } else {
             ::new (static_cast<void*>(storage_))
                 Fn*(new Fn(std::forward<F>(fn)));
@@ -109,6 +198,16 @@ class InlineFunction<R(Args...), InlineBytes> {
                std::is_nothrow_move_constructible_v<Fn>;
     }
 
+    /** Spills of at most SpillBlocks::kMaxBytes reuse pooled
+     *  blocks; ::operator new already suits their alignment. */
+    template <typename Fn>
+    static constexpr bool
+    pooledSpill()
+    {
+        return sizeof(Fn) <= SpillBlocks::kMaxBytes &&
+               alignof(Fn) <= __STDCPP_DEFAULT_NEW_ALIGNMENT__;
+    }
+
     template <typename Fn>
     struct InlineOps {
         static R
@@ -150,7 +249,13 @@ class InlineFunction<R(Args...), InlineBytes> {
         static void
         destroy(void* s) noexcept
         {
-            delete held(s);
+            Fn* fn = held(s);
+            if constexpr (pooledSpill<Fn>()) {
+                fn->~Fn();
+                SpillBlocks::give(fn, SpillBlocks::sizeClass(sizeof(Fn)));
+            } else {
+                delete fn;
+            }
         }
         static constexpr Ops ops = {&invoke, &relocate, &destroy,
                                     false};

@@ -228,23 +228,34 @@ MicroserviceInstance::tryStartWork()
                 !resource->tryAcquire(sim_.now()))
                 continue;
         }
-        std::vector<JobPtr> batch = queue.popBatch();
-        if (batch.empty()) {
+        // Pop straight into a batch slot's kept vector; the slot goes
+        // back if the pop comes up empty.
+        std::uint32_t slot = static_cast<std::uint32_t>(batchSlots_.size());
+        if (freeBatchSlots_.empty()) {
+            batchSlots_.emplace_back();
+        } else {
+            slot = freeBatchSlots_.back();
+            freeBatchSlots_.pop_back();
+        }
+        queue.popBatch(batchSlots_[slot]);
+        if (batchSlots_[slot].empty()) {
+            freeBatchSlots_.push_back(slot);
             if (resource != nullptr)
                 resource->release(sim_.now());
             continue;
         }
         --idleThreads_;
-        startBatch(stage_id, std::move(batch));
+        startBatch(stage_id, slot);
         return true;
     }
     return false;
 }
 
 void
-MicroserviceInstance::startBatch(int stage_id, std::vector<JobPtr> batch)
+MicroserviceInstance::startBatch(int stage_id, std::uint32_t slot)
 {
     const StageConfig& stage = model_->stage(stage_id);
+    const std::vector<JobPtr>& batch = batchSlots_[slot];
     std::uint64_t bytes = 0;
     for (const JobPtr& job : batch)
         bytes += job->bytes;
@@ -261,15 +272,6 @@ MicroserviceInstance::startBatch(int stage_id, std::vector<JobPtr> batch)
     ++batches_;
     batchSizes_.add(static_cast<double>(batch.size()));
     const std::uint64_t jobs = batch.size();
-
-    std::uint32_t slot = static_cast<std::uint32_t>(batchSlots_.size());
-    if (freeBatchSlots_.empty()) {
-        batchSlots_.push_back(std::move(batch));
-    } else {
-        slot = freeBatchSlots_.back();
-        freeBatchSlots_.pop_back();
-        batchSlots_[slot] = std::move(batch);
-    }
     activeBatches_.push_back(slot);
     if (stage.resource == StageResource::Disk &&
         machineDisk_ != nullptr) {
@@ -312,11 +314,14 @@ MicroserviceInstance::finishBatch(int stage_id, std::uint32_t slot)
     if (it != activeBatches_.end())
         activeBatches_.erase(it);
     // Advance from a local: a job's completion callback may start a
-    // batch, which can grow batchSlots_.  The slot is freed only
-    // after the loop, so that batch never lands in it.
+    // batch, which can grow batchSlots_.  The emptied vector returns
+    // to its slot, buffer kept, and only then is the slot freed, so
+    // no batch started meanwhile lands in it.
     std::vector<JobPtr> batch = std::move(batchSlots_[slot]);
     for (JobPtr& job : batch)
         advanceJob(std::move(job));
+    batch.clear();
+    batchSlots_[slot] = std::move(batch);
     freeBatchSlots_.push_back(slot);
     scheduleWork();
 }

@@ -62,7 +62,7 @@ struct InstanceConfig {
     /** Machine disk to bind disk stages to, by name.  Empty binds
      *  the machine's default (first) disk when the model has disk
      *  stages and the machine has any. */
-    std::string disk;
+    std::string disk{};
     /** Give the instance its own DVFS domain (per-tier power
      *  control) instead of sharing the machine's. */
     bool ownDvfsDomain = false;
@@ -201,7 +201,7 @@ class MicroserviceInstance {
 
   private:
     bool tryStartWork();
-    void startBatch(int stage_id, std::vector<JobPtr> batch);
+    void startBatch(int stage_id, std::uint32_t slot);
     void finishBatch(int stage_id, std::uint32_t slot);
     void advanceJob(JobPtr job);
     bool oversubscribed() const { return threads_ > coreCapacity_; }
@@ -248,7 +248,8 @@ class MicroserviceInstance {
     std::uint64_t rejected_ = 0;
     std::uint64_t refused_ = 0;
     /** Jobs of each running batch, indexed by the slot its
-     *  completion event captures. */
+     *  completion event captures.  A free slot keeps its emptied
+     *  vector, so popping a batch into it allocates nothing. */
     std::vector<std::vector<JobPtr>> batchSlots_;
     /** Slots whose completion event has fired. */
     std::vector<std::uint32_t> freeBatchSlots_;

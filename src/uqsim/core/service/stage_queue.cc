@@ -1,5 +1,7 @@
 #include "uqsim/core/service/stage_queue.h"
 
+#include <algorithm>
+#include <iterator>
 #include <stdexcept>
 
 namespace uqsim {
@@ -72,12 +74,11 @@ SingleQueue::push(JobPtr job)
     queue_.push_back(std::move(job));
 }
 
-std::vector<JobPtr>
-SingleQueue::popBatch()
+void
+SingleQueue::popBatch(std::vector<JobPtr>& out)
 {
-    std::vector<JobPtr> batch;
     if (queue_.empty())
-        return batch;
+        return;
     std::size_t take = 1;
     if (batching_) {
         take = batchLimit_ > 0
@@ -85,12 +86,10 @@ SingleQueue::popBatch()
                               static_cast<std::size_t>(batchLimit_))
                    : queue_.size();
     }
-    batch.reserve(take);
     for (std::size_t i = 0; i < take; ++i) {
-        batch.push_back(std::move(queue_.front()));
+        out.push_back(std::move(queue_.front()));
         queue_.pop_front();
     }
-    return batch;
 }
 
 std::vector<JobPtr>
@@ -102,151 +101,138 @@ SingleQueue::drainAll()
     return jobs;
 }
 
-// ---------------------------------------------------------------- Socket
+// ------------------------------------------------------------ Connection
 
-SocketQueue::SocketQueue(int batch_limit,
-                         const ConnectionTable* connections)
+ConnectionQueue::ConnectionQueue(int batch_limit,
+                                 const ConnectionTable* connections)
     : batchLimit_(batch_limit), connections_(connections)
 {
 }
 
 void
-SocketQueue::push(JobPtr job)
+ConnectionQueue::push(JobPtr job)
 {
-    subqueues_[job->connectionId].push_back(std::move(job));
-    ++total_;
-}
-
-bool
-SocketQueue::hasEligible() const
-{
-    // Subqueues are erased when drained, so this only scans
-    // connections with pending jobs (usually few).
-    for (const auto& [id, queue] : subqueues_) {
-        if (eligibleCount(queue, connections_, id, batchLimit_) > 0)
-            return true;
-    }
-    return false;
-}
-
-std::vector<JobPtr>
-SocketQueue::popBatch()
-{
-    std::vector<JobPtr> batch;
-    if (subqueues_.empty())
-        return batch;
-    // Round-robin: scan connections after the cursor first.
-    auto serve = [&](auto begin, auto end) -> bool {
-        for (auto it = begin; it != end; ++it) {
-            const std::size_t take = eligibleCount(
-                it->second, connections_, it->first, batchLimit_);
-            if (take == 0)
-                continue;
-            std::deque<JobPtr>& queue = it->second;
-            for (std::size_t i = 0; i < take; ++i) {
-                batch.push_back(std::move(queue.front()));
-                queue.pop_front();
-            }
-            total_ -= take;
-            cursor_ = it->first;
-            if (queue.empty())
-                subqueues_.erase(it);
-            return true;
+    const ConnectionId id = job->connectionId;
+    auto it = subqueues_.lower_bound(id);
+    if (it == subqueues_.end() || it->first != id) {
+        if (spare_.empty()) {
+            it = subqueues_.emplace_hint(it, id, std::deque<JobPtr>());
+        } else {
+            Subqueues::node_type node = std::move(spare_.back());
+            spare_.pop_back();
+            node.key() = id;
+            it = subqueues_.insert(it, std::move(node));
         }
-        return false;
-    };
-    auto pivot = subqueues_.upper_bound(cursor_);
-    if (!serve(pivot, subqueues_.end()))
-        serve(subqueues_.begin(), pivot);
-    return batch;
-}
-
-std::vector<JobPtr>
-SocketQueue::drainAll()
-{
-    std::vector<JobPtr> jobs;
-    jobs.reserve(total_);
-    for (auto& [id, queue] : subqueues_) {
-        for (JobPtr& job : queue)
-            jobs.push_back(std::move(job));
     }
-    subqueues_.clear();
-    total_ = 0;
-    cursor_ = kNoConnection;
-    return jobs;
-}
-
-// ----------------------------------------------------------------- Epoll
-
-EpollQueue::EpollQueue(int batch_limit, const ConnectionTable* connections)
-    : batchLimit_(batch_limit), connections_(connections)
-{
-}
-
-void
-EpollQueue::push(JobPtr job)
-{
-    subqueues_[job->connectionId].push_back(std::move(job));
+    it->second.push_back(std::move(job));
     ++total_;
 }
 
 bool
-EpollQueue::hasEligible() const
+ConnectionQueue::hasEligible() const
 {
-    for (const auto& [id, queue] : subqueues_) {
-        if (eligibleCount(queue, connections_, id, batchLimit_) > 0)
+    // Drained subqueues are parked, so this only scans connections
+    // with pending jobs (usually few).
+    for (auto it = subqueues_.begin(); it != subqueues_.end(); ++it) {
+        if (eligible(it) > 0)
             return true;
     }
     return false;
 }
 
 std::size_t
+ConnectionQueue::eligible(Subqueues::const_iterator it) const
+{
+    return eligibleCount(it->second, connections_, it->first,
+                         batchLimit_);
+}
+
+ConnectionQueue::Subqueues::iterator
+ConnectionQueue::take(Subqueues::iterator it, std::size_t count,
+                      std::vector<JobPtr>& out)
+{
+    std::deque<JobPtr>& queue = it->second;
+    for (std::size_t i = 0; i < count; ++i) {
+        out.push_back(std::move(queue.front()));
+        queue.pop_front();
+    }
+    total_ -= count;
+    const auto next = std::next(it);
+    if (queue.empty())
+        spare_.push_back(subqueues_.extract(it));
+    return next;
+}
+
+std::vector<JobPtr>
+ConnectionQueue::drainAll()
+{
+    std::vector<JobPtr> jobs;
+    jobs.reserve(total_);
+    for (auto it = subqueues_.begin(); it != subqueues_.end();)
+        it = take(it, it->second.size(), jobs);
+    return jobs;
+}
+
+// ---------------------------------------------------------------- Socket
+
+SocketQueue::SocketQueue(int batch_limit,
+                         const ConnectionTable* connections)
+    : ConnectionQueue(batch_limit, connections)
+{
+}
+
+void
+SocketQueue::popBatch(std::vector<JobPtr>& out)
+{
+    // Round-robin: scan connections after the cursor first.
+    auto serve = [&](Subqueues::iterator begin,
+                     Subqueues::iterator end) -> bool {
+        for (auto it = begin; it != end; ++it) {
+            const std::size_t count = eligible(it);
+            if (count == 0)
+                continue;
+            cursor_ = it->first;
+            take(it, count, out);
+            return true;
+        }
+        return false;
+    };
+    const auto pivot = subqueues_.upper_bound(cursor_);
+    if (!serve(pivot, subqueues_.end()))
+        serve(subqueues_.begin(), pivot);
+}
+
+std::vector<JobPtr>
+SocketQueue::drainAll()
+{
+    cursor_ = kNoConnection;
+    return ConnectionQueue::drainAll();
+}
+
+// ----------------------------------------------------------------- Epoll
+
+EpollQueue::EpollQueue(int batch_limit, const ConnectionTable* connections)
+    : ConnectionQueue(batch_limit, connections)
+{
+}
+
+std::size_t
 EpollQueue::activeSubqueues() const
 {
     std::size_t active = 0;
-    for (const auto& [id, queue] : subqueues_) {
-        if (eligibleCount(queue, connections_, id, batchLimit_) > 0)
+    for (auto it = subqueues_.begin(); it != subqueues_.end(); ++it) {
+        if (eligible(it) > 0)
             ++active;
     }
     return active;
 }
 
-std::vector<JobPtr>
-EpollQueue::popBatch()
+void
+EpollQueue::popBatch(std::vector<JobPtr>& out)
 {
-    std::vector<JobPtr> batch;
-    // First N jobs of each active subqueue (paper §III-B).  Drained
-    // subqueues are erased so future scans skip them.
-    for (auto it = subqueues_.begin(); it != subqueues_.end();) {
-        std::deque<JobPtr>& queue = it->second;
-        const std::size_t take =
-            eligibleCount(queue, connections_, it->first, batchLimit_);
-        for (std::size_t i = 0; i < take; ++i) {
-            batch.push_back(std::move(queue.front()));
-            queue.pop_front();
-        }
-        total_ -= take;
-        if (queue.empty()) {
-            it = subqueues_.erase(it);
-        } else {
-            ++it;
-        }
-    }
-    return batch;
-}
-
-std::vector<JobPtr>
-EpollQueue::drainAll()
-{
-    std::vector<JobPtr> jobs;
-    jobs.reserve(total_);
-    for (auto& [id, queue] : subqueues_) {
-        for (JobPtr& job : queue)
-            jobs.push_back(std::move(job));
-    }
-    subqueues_.clear();
-    total_ = 0;
-    return jobs;
+    // First N jobs of each active subqueue (paper §III-B).
+    for (auto it = subqueues_.begin(); it != subqueues_.end();)
+        it = take(it, eligible(it), out);
 }
 
 }  // namespace uqsim

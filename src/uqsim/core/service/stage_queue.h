@@ -15,6 +15,10 @@
  *  - EpollQueue: per-connection subqueues; a pop returns the first N
  *    jobs of *each* active subqueue (epoll).  A subqueue whose
  *    connection is receive-blocked is not active.
+ *
+ * Pops fill a vector the caller keeps, and a drained subqueue is
+ * parked for the next connection rather than freed, so a warm queue
+ * allocates nothing.
  */
 
 #include <deque>
@@ -39,8 +43,12 @@ class StageQueue {
     /** True when a pop would return at least one job. */
     virtual bool hasEligible() const = 0;
 
-    /** Pops one batch per the stage's discipline. */
-    virtual std::vector<JobPtr> popBatch() = 0;
+    /**
+     * Pops one batch per the stage's discipline into @p out, which
+     * the caller passes empty (a reused vector keeps its buffer).
+     * Leaves @p out empty when no job is eligible.
+     */
+    virtual void popBatch(std::vector<JobPtr>& out) = 0;
 
     /** Jobs currently queued (eligible or not). */
     virtual std::size_t size() const = 0;
@@ -66,7 +74,7 @@ class SingleQueue : public StageQueue {
 
     void push(JobPtr job) override;
     bool hasEligible() const override { return !queue_.empty(); }
-    std::vector<JobPtr> popBatch() override;
+    void popBatch(std::vector<JobPtr>& out) override;
     std::size_t size() const override { return queue_.size(); }
     std::vector<JobPtr> drainAll() override;
 
@@ -76,45 +84,66 @@ class SingleQueue : public StageQueue {
     int batchLimit_;
 };
 
-/** Per-connection subqueues; pop serves one ready connection. */
-class SocketQueue : public StageQueue {
+/**
+ * Per-connection subqueues in connection-id order, shared by the
+ * socket and epoll disciplines.  Only connections with queued jobs
+ * have a subqueue.  A drained subqueue is not freed: its map node
+ * (deque and chunk included) is extracted into a spare list and
+ * re-keyed for the next connection that needs one.
+ */
+class ConnectionQueue : public StageQueue {
   public:
-    SocketQueue(int batch_limit, const ConnectionTable* connections);
-
     void push(JobPtr job) override;
     bool hasEligible() const override;
-    std::vector<JobPtr> popBatch() override;
     std::size_t size() const override { return total_; }
     std::vector<JobPtr> drainAll() override;
 
+  protected:
+    using Subqueues = std::map<ConnectionId, std::deque<JobPtr>>;
+
+    ConnectionQueue(int batch_limit, const ConnectionTable* connections);
+
+    /** Jobs poppable now from the front of @p it's subqueue. */
+    std::size_t eligible(Subqueues::const_iterator it) const;
+
+    /** Moves @p count jobs from the front of @p it's subqueue to
+     *  @p out, parking the subqueue if that drains it; returns the
+     *  next subqueue. */
+    Subqueues::iterator take(Subqueues::iterator it, std::size_t count,
+                             std::vector<JobPtr>& out);
+
+    Subqueues subqueues_;
+
   private:
-    std::map<ConnectionId, std::deque<JobPtr>> subqueues_;
+    /** Parked subqueues, empty, awaiting a new connection id. */
+    std::vector<Subqueues::node_type> spare_;
     std::size_t total_ = 0;
     int batchLimit_;
     const ConnectionTable* connections_;
+};
+
+/** Per-connection subqueues; pop serves one ready connection. */
+class SocketQueue : public ConnectionQueue {
+  public:
+    SocketQueue(int batch_limit, const ConnectionTable* connections);
+
+    void popBatch(std::vector<JobPtr>& out) override;
+    std::vector<JobPtr> drainAll() override;
+
+  private:
     /** Round-robin cursor: last connection served. */
     ConnectionId cursor_ = kNoConnection;
 };
 
 /** Per-connection subqueues; pop serves all active connections. */
-class EpollQueue : public StageQueue {
+class EpollQueue : public ConnectionQueue {
   public:
     EpollQueue(int batch_limit, const ConnectionTable* connections);
 
-    void push(JobPtr job) override;
-    bool hasEligible() const override;
-    std::vector<JobPtr> popBatch() override;
-    std::size_t size() const override { return total_; }
-    std::vector<JobPtr> drainAll() override;
+    void popBatch(std::vector<JobPtr>& out) override;
 
     /** Number of currently active (pollable) subqueues. */
     std::size_t activeSubqueues() const;
-
-  private:
-    std::map<ConnectionId, std::deque<JobPtr>> subqueues_;
-    std::size_t total_ = 0;
-    int batchLimit_;
-    const ConnectionTable* connections_;
 };
 
 }  // namespace uqsim

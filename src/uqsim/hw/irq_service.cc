@@ -23,6 +23,12 @@ IrqService::IrqService(Simulator& sim, std::string name, int cores,
 void
 IrqService::process(std::uint32_t bytes, Callback done)
 {
+    // The FIFO holds packets only while every core is busy, so a
+    // packet that finds it empty and a core free starts at once.
+    if (queue_.empty() && cores_.tryAcquire(sim_.now())) {
+        startService(Packet{bytes, std::move(done)});
+        return;
+    }
     queue_.push_back(Packet{bytes, std::move(done)});
     tryStart();
 }

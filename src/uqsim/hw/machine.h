@@ -39,7 +39,7 @@ struct MachineConfig {
     /** Attached shared-bandwidth disks (names unique per machine);
      *  empty = no storage tier, disk stages fall back to the legacy
      *  per-instance channel model. */
-    std::vector<Disk::Config> disks;
+    std::vector<Disk::Config> disks{};
 };
 
 /** One server. */

@@ -231,8 +231,7 @@ SnapshotWriter::assemble() const
 {
     if (sectionOpen_)
         throw std::logic_error("assemble with a section open");
-    std::vector<std::uint8_t> out;
-    out.insert(out.end(), kMagic, kMagic + 8);
+    std::vector<std::uint8_t> out(kMagic, kMagic + 8);
     putLe32(out, kFormatVersion);
     putLe32(out, static_cast<std::uint32_t>(sections_.size()));
     putLe64(out, meta_.configDigest);

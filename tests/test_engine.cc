@@ -10,6 +10,7 @@
 #include <algorithm>
 #include <cstdint>
 #include <memory>
+#include <thread>
 #include <vector>
 
 #include "uqsim/core/engine/event_queue.h"
@@ -77,6 +78,118 @@ TEST(InlineFunction, OversizedCapturesFallBackToHeap)
         [big]() { return static_cast<int>(big.bytes[0]); };
     EXPECT_FALSE(fn.storedInline());
     EXPECT_EQ(fn(), 7);
+}
+
+/** Counts destructions of a capture's live copy; a moved-from copy
+ *  is not live, so each callable counts exactly once. */
+struct LiveCount {
+    explicit LiveCount(int* counter) : destroyed(counter) {}
+    LiveCount(LiveCount&& other) noexcept : destroyed(other.destroyed)
+    {
+        other.destroyed = nullptr;
+    }
+    LiveCount(const LiveCount&) = delete;
+    LiveCount& operator=(const LiveCount&) = delete;
+    ~LiveCount()
+    {
+        if (destroyed != nullptr)
+            ++*destroyed;
+    }
+
+    int* destroyed;
+};
+
+/** A callable of exactly @p Bytes bytes. */
+template <std::size_t Bytes>
+struct Spill {
+    LiveCount count;
+    int value;
+    unsigned char pad[Bytes - sizeof(LiveCount) - sizeof(int)] = {};
+
+    int operator()() const { return value; }
+};
+
+/** Over-aligned: answers its value only from a 64-aligned address. */
+struct alignas(64) AlignedSpill {
+    LiveCount count;
+    int value;
+
+    int
+    operator()() const
+    {
+        return reinterpret_cast<std::uintptr_t>(this) % 64 == 0 ? value
+                                                                : -1;
+    }
+};
+
+template <typename Fn>
+void
+expectSpillRoundTrip(int value)
+{
+    int destroyed = 0;
+    {
+        InlineFunction<int(), 64> fn = Fn{LiveCount(&destroyed), value};
+        EXPECT_FALSE(fn.storedInline());
+        EXPECT_EQ(fn(), value);
+        InlineFunction<int(), 64> moved = std::move(fn);
+        EXPECT_EQ(moved(), value);
+        EXPECT_EQ(destroyed, 0);
+    }
+    EXPECT_EQ(destroyed, 1);
+}
+
+TEST(InlineFunction, SpilledCallablesRunAndDieOnce)
+{
+    static_assert(sizeof(Spill<72>) == 72);
+    static_assert(sizeof(Spill<200>) == 200);
+    static_assert(sizeof(Spill<600>) == 600);
+    expectSpillRoundTrip<Spill<72>>(72);
+    expectSpillRoundTrip<Spill<200>>(200);
+    // Past the largest pooled class, and over-aligned: plain new.
+    expectSpillRoundTrip<Spill<600>>(600);
+    expectSpillRoundTrip<AlignedSpill>(64);
+}
+
+/** A callable of @p Bytes bytes answering its own address. */
+template <std::size_t Bytes>
+struct Where {
+    unsigned char pad[Bytes] = {};
+
+    const void* operator()() const { return this; }
+};
+
+TEST(InlineFunction, SameClassSpillReusesTheFreedBlock)
+{
+    InlineFunction<const void*(), 64> first = Where<200>{};
+    const void* block = first();
+    first.reset();
+    // 200 and 240 bytes share the 256-byte class.
+    InlineFunction<const void*(), 64> second = Where<240>{};
+    EXPECT_EQ(second(), block);
+    InlineFunction<const void*(), 64> moved = std::move(second);
+    EXPECT_EQ(moved(), block);
+}
+
+TEST(InlineFunction, SpillMayDieOnAnotherThread)
+{
+    int destroyed = 0;
+    InlineFunction<int(), 64> made_there;
+    std::thread([&] {
+        made_there = Spill<200>{LiveCount(&destroyed), 1};
+    }).join();
+    EXPECT_EQ(made_there(), 1);
+    made_there.reset();
+    EXPECT_EQ(destroyed, 1);
+
+    InlineFunction<int(), 64> made_here =
+        Spill<200>{LiveCount(&destroyed), 2};
+    int answer = 0;
+    std::thread([&] {
+        answer = made_here();
+        made_here.reset();
+    }).join();
+    EXPECT_EQ(answer, 2);
+    EXPECT_EQ(destroyed, 2);
 }
 
 // ------------------------------------------------------------ EventQueue

@@ -29,6 +29,15 @@ namespace {
 
 // ----------------------------------------------- queue conservation
 
+/** Pops one batch into a fresh vector. */
+std::vector<JobPtr>
+pop(StageQueue& queue)
+{
+    std::vector<JobPtr> batch;
+    queue.popBatch(batch);
+    return batch;
+}
+
 struct QueueCase {
     const char* name;
     QueueType type;
@@ -67,7 +76,7 @@ TEST_P(QueueConservationTest, RandomizedPushPopConservesJobs)
             queue->push(std::move(job));
             ++in_queue;
         } else {
-            const auto batch = queue->popBatch();
+            const auto batch = pop(*queue);
             for (const JobPtr& job : batch) {
                 // Never pop a job twice, never invent jobs.
                 ASSERT_TRUE(pushed.count(job->id));
@@ -87,7 +96,7 @@ TEST_P(QueueConservationTest, RandomizedPushPopConservesJobs)
     }
     // Drain and verify total conservation.
     while (queue->hasEligible()) {
-        for (const JobPtr& job : queue->popBatch())
+        for (const JobPtr& job : pop(*queue))
             popped[job->id] = true;
     }
     std::size_t popped_count = 0;
@@ -140,7 +149,7 @@ TEST(QueueBlockingProperty, NonOwnerJobsNeverEscapeBlockedConns)
                     owner[conn] = connections.blockOwner(conn);
             }
         } else {
-            for (const JobPtr& job : queue->popBatch()) {
+            for (const JobPtr& job : pop(*queue)) {
                 const ConnectionId c = job->connectionId;
                 if (connections.isBlocked(c)) {
                     EXPECT_EQ(job->rootId,
@@ -368,10 +377,12 @@ TEST_P(ResilienceAccountingTest, CountersStayWithinDeclaredBudgets)
     // issue at most `retries` resends and `hedge_max` hedges.
     EXPECT_LE(dispatcher.retriesSent(), tc.retryBudget * started);
     EXPECT_LE(dispatcher.hedgesSent(), tc.hedgeBudget * started);
-    if (tc.retryBudget == 0)
+    if (tc.retryBudget == 0) {
         EXPECT_EQ(dispatcher.retriesSent(), 0u);
-    if (tc.hedgeBudget == 0)
+    }
+    if (tc.hedgeBudget == 0) {
         EXPECT_EQ(dispatcher.hedgesSent(), 0u);
+    }
 
     // Availability is a fraction of terminal outcomes.
     EXPECT_GE(report.availability, 0.0);

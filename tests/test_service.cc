@@ -9,6 +9,8 @@
 
 #include <algorithm>
 #include <cmath>
+#include <deque>
+#include <map>
 #include <vector>
 
 #include "uqsim/core/service/connection_pool.h"
@@ -176,6 +178,15 @@ makeJob(JobFactory& factory, ConnectionId conn, JobId root = 0)
     return job;
 }
 
+/** Pops one batch into a fresh vector. */
+std::vector<JobPtr>
+pop(StageQueue& queue)
+{
+    std::vector<JobPtr> batch;
+    queue.popBatch(batch);
+    return batch;
+}
+
 TEST(SingleQueue, NonBatchingPopsOne)
 {
     SingleQueue queue(false, 0);
@@ -183,7 +194,7 @@ TEST(SingleQueue, NonBatchingPopsOne)
     queue.push(makeJob(factory, 1));
     queue.push(makeJob(factory, 1));
     EXPECT_TRUE(queue.hasEligible());
-    EXPECT_EQ(queue.popBatch().size(), 1u);
+    EXPECT_EQ(pop(queue).size(), 1u);
     EXPECT_EQ(queue.size(), 1u);
 }
 
@@ -193,9 +204,9 @@ TEST(SingleQueue, BatchingRespectsLimit)
     JobFactory factory;
     for (int i = 0; i < 5; ++i)
         queue.push(makeJob(factory, 1));
-    EXPECT_EQ(queue.popBatch().size(), 3u);
-    EXPECT_EQ(queue.popBatch().size(), 2u);
-    EXPECT_TRUE(queue.popBatch().empty());
+    EXPECT_EQ(pop(queue).size(), 3u);
+    EXPECT_EQ(pop(queue).size(), 2u);
+    EXPECT_TRUE(pop(queue).empty());
 }
 
 TEST(SingleQueue, UnlimitedBatchTakesAll)
@@ -204,7 +215,7 @@ TEST(SingleQueue, UnlimitedBatchTakesAll)
     JobFactory factory;
     for (int i = 0; i < 5; ++i)
         queue.push(makeJob(factory, 1));
-    EXPECT_EQ(queue.popBatch().size(), 5u);
+    EXPECT_EQ(pop(queue).size(), 5u);
 }
 
 TEST(SingleQueue, FifoOrder)
@@ -215,7 +226,7 @@ TEST(SingleQueue, FifoOrder)
     const JobId first_id = first->id;
     queue.push(std::move(first));
     queue.push(makeJob(factory, 1));
-    EXPECT_EQ(queue.popBatch()[0]->id, first_id);
+    EXPECT_EQ(pop(queue)[0]->id, first_id);
 }
 
 // ------------------------------------------------------------ EpollQueue
@@ -230,7 +241,7 @@ TEST(EpollQueue, TakesFirstNOfEachActiveSubqueue)
     for (int i = 0; i < 1; ++i)
         queue.push(makeJob(factory, 2));
     EXPECT_EQ(queue.activeSubqueues(), 2u);
-    const auto batch = queue.popBatch();
+    const auto batch = pop(queue);
     // First 2 of connection 1 plus the single job of connection 2.
     EXPECT_EQ(batch.size(), 3u);
     EXPECT_EQ(queue.size(), 1u);
@@ -246,10 +257,10 @@ TEST(EpollQueue, BlockedSubqueueIsInactive)
     queue.push(makeJob(factory, 1, other_root));
     connections.block(1, blocker->rootId);
     EXPECT_FALSE(queue.hasEligible());
-    EXPECT_TRUE(queue.popBatch().empty());
+    EXPECT_TRUE(pop(queue).empty());
     connections.unblock(1, blocker->rootId);
     EXPECT_TRUE(queue.hasEligible());
-    EXPECT_EQ(queue.popBatch().size(), 1u);
+    EXPECT_EQ(pop(queue).size(), 1u);
 }
 
 TEST(EpollQueue, BlockOwnerJobsRemainEligible)
@@ -265,7 +276,7 @@ TEST(EpollQueue, BlockOwnerJobsRemainEligible)
     queue.push(makeJob(factory, 1));  // a later, unrelated request
     connections.block(1, owner_root);
     EXPECT_TRUE(queue.hasEligible());
-    const auto batch = queue.popBatch();
+    const auto batch = pop(queue);
     ASSERT_EQ(batch.size(), 1u);
     EXPECT_EQ(batch[0]->rootId, owner_root);
     EXPECT_FALSE(queue.hasEligible());
@@ -279,7 +290,7 @@ TEST(EpollQueue, UnlimitedBatchDrainsSubqueues)
         for (int i = 0; i < 4; ++i)
             queue.push(makeJob(factory, c));
     }
-    EXPECT_EQ(queue.popBatch().size(), 12u);
+    EXPECT_EQ(pop(queue).size(), 12u);
 }
 
 // ----------------------------------------------------------- SocketQueue
@@ -293,10 +304,10 @@ TEST(SocketQueue, ServesOneConnectionAtATime)
         queue.push(makeJob(factory, 1));
     for (int i = 0; i < 2; ++i)
         queue.push(makeJob(factory, 2));
-    const auto first = queue.popBatch();
+    const auto first = pop(queue);
     ASSERT_EQ(first.size(), 3u);
     EXPECT_EQ(first[0]->connectionId, 1);
-    const auto second = queue.popBatch();
+    const auto second = pop(queue);
     ASSERT_EQ(second.size(), 2u);
     EXPECT_EQ(second[0]->connectionId, 2);
 }
@@ -309,10 +320,10 @@ TEST(SocketQueue, RoundRobinAcrossConnections)
         queue.push(makeJob(factory, 1));
         queue.push(makeJob(factory, 2));
     }
-    EXPECT_EQ(queue.popBatch()[0]->connectionId, 1);
-    EXPECT_EQ(queue.popBatch()[0]->connectionId, 2);
-    EXPECT_EQ(queue.popBatch()[0]->connectionId, 1);
-    EXPECT_EQ(queue.popBatch()[0]->connectionId, 2);
+    EXPECT_EQ(pop(queue)[0]->connectionId, 1);
+    EXPECT_EQ(pop(queue)[0]->connectionId, 2);
+    EXPECT_EQ(pop(queue)[0]->connectionId, 1);
+    EXPECT_EQ(pop(queue)[0]->connectionId, 2);
 }
 
 TEST(SocketQueue, SkipsBlockedConnections)
@@ -323,9 +334,147 @@ TEST(SocketQueue, SkipsBlockedConnections)
     queue.push(makeJob(factory, 1, 500));
     queue.push(makeJob(factory, 2, 600));
     connections.block(1, 42);  // some other request owns the block
-    const auto batch = queue.popBatch();
+    const auto batch = pop(queue);
     ASSERT_EQ(batch.size(), 1u);
     EXPECT_EQ(batch[0]->connectionId, 2);
+}
+
+// --------------------------------------------------- subqueue recycling
+
+/**
+ * The socket discipline over fresh subqueues: per-connection FIFOs
+ * erased when drained, served round-robin from a cursor (no receive
+ * blocking).
+ */
+class FreshSocketQueue {
+  public:
+    explicit FreshSocketQueue(std::size_t limit) : limit_(limit) {}
+
+    void
+    push(ConnectionId conn, JobId job)
+    {
+        subqueues_[conn].push_back(job);
+        ++size_;
+    }
+
+    std::vector<JobId>
+    pop()
+    {
+        std::vector<JobId> batch;
+        if (subqueues_.empty())
+            return batch;
+        auto it = subqueues_.upper_bound(cursor_);
+        if (it == subqueues_.end())
+            it = subqueues_.begin();
+        cursor_ = it->first;
+        while (!it->second.empty() && batch.size() < limit_) {
+            batch.push_back(it->second.front());
+            it->second.pop_front();
+        }
+        size_ -= batch.size();
+        if (it->second.empty())
+            subqueues_.erase(it);
+        return batch;
+    }
+
+    std::size_t size() const { return size_; }
+
+  private:
+    std::map<ConnectionId, std::deque<JobId>> subqueues_;
+    ConnectionId cursor_ = kNoConnection;
+    std::size_t limit_;
+    std::size_t size_ = 0;
+};
+
+std::vector<JobId>
+jobIds(const std::vector<JobPtr>& batch)
+{
+    std::vector<JobId> ids;
+    for (const JobPtr& job : batch)
+        ids.push_back(job->id);
+    return ids;
+}
+
+TEST(SubqueueRecycling, SocketQueueMatchesFreshSubqueues)
+{
+    // Connections drain and come back under interleaved ids, so most
+    // new subqueues are parked nodes re-keyed for another connection.
+    SocketQueue queue(3, nullptr);
+    FreshSocketQueue fresh(3);
+    JobFactory factory;
+    random::Rng rng(11);
+    for (int step = 0; step < 4000; ++step) {
+        if (rng.nextBool(0.5)) {
+            const auto conn =
+                static_cast<ConnectionId>(rng.nextBounded(9));
+            JobPtr job = makeJob(factory, conn);
+            fresh.push(conn, job->id);
+            queue.push(std::move(job));
+        } else {
+            ASSERT_EQ(jobIds(pop(queue)), fresh.pop()) << "step " << step;
+        }
+        ASSERT_EQ(queue.size(), fresh.size());
+        ASSERT_EQ(queue.hasEligible(), fresh.size() > 0);
+    }
+}
+
+TEST(SubqueueRecycling, EpollEligibilityFollowsTheNewId)
+{
+    ConnectionTable connections;
+    EpollQueue queue(8, &connections);
+    JobFactory factory;
+    // The owner's job drains connection 1 while it is blocked, so
+    // its subqueue is parked under id 1.
+    JobPtr owner = makeJob(factory, 1);
+    const JobId owner_root = owner->rootId;
+    connections.block(1, owner_root);
+    queue.push(std::move(owner));
+    ASSERT_EQ(pop(queue).size(), 1u);
+    EXPECT_EQ(queue.size(), 0u);
+
+    // Reused for unblocked connection 2: eligible.
+    queue.push(makeJob(factory, 2));
+    EXPECT_TRUE(queue.hasEligible());
+    EXPECT_EQ(queue.activeSubqueues(), 1u);
+    std::vector<JobPtr> batch = pop(queue);
+    ASSERT_EQ(batch.size(), 1u);
+    EXPECT_EQ(batch[0]->connectionId, 2);
+
+    // Connection 1 still holds back other requests' jobs.
+    queue.push(makeJob(factory, 1, 4242));
+    queue.push(makeJob(factory, 3));
+    EXPECT_EQ(queue.activeSubqueues(), 1u);
+    batch = pop(queue);
+    ASSERT_EQ(batch.size(), 1u);
+    EXPECT_EQ(batch[0]->connectionId, 3);
+    EXPECT_FALSE(queue.hasEligible());
+    EXPECT_EQ(queue.size(), 1u);
+    connections.unblock(1, owner_root);
+    EXPECT_TRUE(queue.hasEligible());
+}
+
+TEST(SubqueueRecycling, PopIntoAReusedVectorKeepsItsBuffer)
+{
+    SingleQueue single(true, 4);
+    SocketQueue socket(4, nullptr);
+    EpollQueue epoll(4, nullptr);
+    JobFactory factory;
+    for (StageQueue* queue :
+         {static_cast<StageQueue*>(&single),
+          static_cast<StageQueue*>(&socket),
+          static_cast<StageQueue*>(&epoll)}) {
+        std::vector<JobPtr> batch;
+        batch.reserve(4);
+        const JobPtr* buffer = batch.data();
+        for (int round = 0; round < 3; ++round) {
+            for (int i = 0; i < 3; ++i)
+                queue->push(makeJob(factory, 1 + round));
+            queue->popBatch(batch);
+            ASSERT_EQ(batch.size(), 3u);
+            EXPECT_EQ(batch.data(), buffer);
+            batch.clear();
+        }
+    }
 }
 
 TEST(StageQueueFactory, BuildsMatchingDiscipline)
