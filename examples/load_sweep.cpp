@@ -34,8 +34,10 @@
  * "checkpoints"), keeping the newest --checkpoint-keep per job;
  * --resume-from-snapshot restores each job from its newest valid
  * snapshot, so a SIGKILL'd sweep resumes with the replay verified
- * against the snapshot's trace digest.  Restore replays from event 0,
- * so resuming saves no wall time yet.  Checkpointing never changes
+ * against the snapshot's trace digest and layer folds, and prints
+ * how many jobs resumed.  The scan skips snapshots of another format
+ * version, so those jobs run fresh.  Restore replays from event 0,
+ * so resuming saves no wall time.  Checkpointing never changes
  * results — trace digests match an uncheckpointed run exactly.
  *
  * Exit status: 0 all replications ok; 1 usage/config error or (with
@@ -244,6 +246,10 @@ main(int argc, char** argv)
             std::cout << sweep_runner.restoredJobs()
                       << " job(s) restored from " << options.resumePath
                       << "\n";
+        }
+        if (options.resumeFromSnapshot) {
+            std::cout << sweep_runner.snapshotResumes()
+                      << " job(s) resumed from snapshots\n";
         }
         if (sweep_runner.failedJobs() > 0) {
             std::fprintf(stderr,

@@ -351,22 +351,23 @@ Deployment::pool(const MicroserviceInstance& from,
     return *it->second;
 }
 
-namespace {
-
-/** Deterministic fold of the deployment's mutable routing state. */
-snapshot::Digest
-deploymentDigest(
-    const std::unordered_map<std::uint64_t,
-                             std::unique_ptr<ConnectionPool>>& pools)
+void
+Deployment::foldState(snapshot::Digest& digest) const
 {
+    digest.i64(connectionIds_.peekNext());
+    digest.u64(services_.size());
+    for (const auto& [name, svc] : services_) {
+        digest.str(name);
+        digest.u64(svc.rrCursor);
+    }
+    digest.u64(pools_.size());
     std::vector<std::uint64_t> keys;
-    keys.reserve(pools.size());
-    for (const auto& [key, pool] : pools)
+    keys.reserve(pools_.size());
+    for (const auto& [key, pool] : pools_)
         keys.push_back(key);
     std::sort(keys.begin(), keys.end());
-    snapshot::Digest digest;
     for (const std::uint64_t key : keys) {
-        const ConnectionPool& pool = *pools.at(key);
+        const ConnectionPool& pool = *pools_.at(key);
         digest.u64(key);
         digest.str(pool.name());
         digest.i64(pool.size());
@@ -376,41 +377,6 @@ deploymentDigest(
         digest.u64(pool.waiters());
         digest.u64(pool.maxWaiters());
     }
-    return digest;
-}
-
-}  // namespace
-
-void
-Deployment::saveState(snapshot::SnapshotWriter& writer) const
-{
-    writer.putI64(connectionIds_.peekNext());
-    writer.putU64(services_.size());
-    snapshot::Digest cursors;
-    for (const auto& [name, svc] : services_) {
-        cursors.str(name);
-        cursors.u64(svc.rrCursor);
-    }
-    writer.putU64(cursors.value());
-    writer.putU64(pools_.size());
-    writer.putU64(deploymentDigest(pools_).value());
-}
-
-void
-Deployment::loadState(snapshot::SnapshotReader& reader) const
-{
-    reader.requireI64("deployment.next_connection_id",
-                      connectionIds_.peekNext());
-    reader.requireU64("deployment.services", services_.size());
-    snapshot::Digest cursors;
-    for (const auto& [name, svc] : services_) {
-        cursors.str(name);
-        cursors.u64(svc.rrCursor);
-    }
-    reader.requireU64("deployment.rr_cursor_digest", cursors.value());
-    reader.requireU64("deployment.pools", pools_.size());
-    reader.requireU64("deployment.pool_digest",
-                      deploymentDigest(pools_).value());
 }
 
 }  // namespace uqsim

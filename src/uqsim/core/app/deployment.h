@@ -39,8 +39,7 @@
 namespace uqsim {
 
 namespace snapshot {
-class SnapshotWriter;
-class SnapshotReader;
+class Digest;
 }  // namespace snapshot
 
 /** How a service's instances are selected for new requests. */
@@ -177,17 +176,13 @@ class Deployment {
     const fault::AdmissionConfig* admission(std::uint32_t service_id) const;
 
     /**
-     * Serializes the deployment's mutable routing state into the
-     * open snapshot section: connection-id allocator position,
+     * Folds the deployment's mutable routing state into the
+     * DISPATCHER layer: connection-id allocator position,
      * per-service round-robin cursors, and every connection pool's
      * occupancy (free ids in hand-out order, waiter count,
      * high-water mark), pools in sorted-key order.
      */
-    void saveState(snapshot::SnapshotWriter& writer) const;
-
-    /** Validates the live (replayed) state against saveState()'s
-     *  fields; throws SnapshotStateError on divergence. */
-    void loadState(snapshot::SnapshotReader& reader) const;
+    void foldState(snapshot::Digest& digest) const;
 
   private:
     struct ServiceEntry {

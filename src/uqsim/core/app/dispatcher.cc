@@ -450,7 +450,8 @@ Dispatcher::onNodeComplete(JobPtr job, MicroserviceInstance& inst)
                                             hs.serviceId, *hs.policy);
             const double latency =
                 simTimeToSeconds(sim_.now() - winner->sentAt);
-            edge.hopLatencies.push_back(latency);
+            ++edge.hopCount;
+            edge.hopLatencyFold.f64(latency);
             if (edge.hedgeQuantile)
                 edge.hedgeQuantile->add(latency);
             if (edge.breaker)
@@ -953,10 +954,24 @@ Dispatcher::failRequest(JobId root, fault::FailReason reason,
     recycleRoot(std::move(node));
 }
 
-std::uint64_t
-Dispatcher::activeStateDigest() const
+void
+Dispatcher::foldState(snapshot::Digest& digest) const
 {
-    snapshot::Digest digest;
+    digest.u64(started_);
+    digest.u64(completed_);
+    digest.u64(failed_);
+    digest.u64(shed_);
+    digest.u64(retriesSent_);
+    digest.u64(hedgesSent_);
+    digest.u64(leakedBlocks_);
+    digest.u64(leakedHops_);
+    digest.u64(jobs_.created());
+    digest.u64(jobs_.liveJobs());
+    snapshot::digestRngState(digest, rng_.state());
+    snapshot::digestRngState(digest, retryRng_.state());
+    digest.u64(roots_.size());
+    digest.u64(deadJobs_.size());
+    digest.u64(edges_.size());
     // Active roots in JobId order (std::map).
     for (const auto& [root, state] : roots_) {
         digest.u64(root);
@@ -1019,9 +1034,8 @@ Dispatcher::activeStateDigest() const
         digest.boolean(runtime.breaker != nullptr);
         if (runtime.breaker)
             digest.u64(runtime.breaker->stateDigest());
-        digest.u64(runtime.hopLatencies.size());
-        for (const double value : runtime.hopLatencies)
-            digest.f64(value);
+        digest.u64(runtime.hopCount);
+        digest.u64(runtime.hopLatencyFold.value());
     }
     // Admission counters and per-tier fault counters (dense arrays).
     for (const int inflight : inflightByFront_)
@@ -1037,55 +1051,7 @@ Dispatcher::activeStateDigest() const
         digest.u64(stats.crashKills);
         digest.u64(stats.unreachable);
     }
-    return digest.value();
-}
-
-void
-Dispatcher::saveState(snapshot::SnapshotWriter& writer) const
-{
-    writer.beginSection(snapshot::SectionId::Dispatcher);
-    writer.putU64(started_);
-    writer.putU64(completed_);
-    writer.putU64(failed_);
-    writer.putU64(shed_);
-    writer.putU64(retriesSent_);
-    writer.putU64(hedgesSent_);
-    writer.putU64(leakedBlocks_);
-    writer.putU64(leakedHops_);
-    writer.putU64(jobs_.created());
-    writer.putU64(jobs_.liveJobs());
-    snapshot::putRngState(writer, rng_.state());
-    snapshot::putRngState(writer, retryRng_.state());
-    writer.putU64(roots_.size());
-    writer.putU64(deadJobs_.size());
-    writer.putU64(edges_.size());
-    writer.putU64(activeStateDigest());
-    deployment_.saveState(writer);
-    writer.endSection();
-}
-
-void
-Dispatcher::loadState(snapshot::SnapshotReader& reader) const
-{
-    reader.openSection(snapshot::SectionId::Dispatcher);
-    reader.requireU64("started", started_);
-    reader.requireU64("completed", completed_);
-    reader.requireU64("failed", failed_);
-    reader.requireU64("shed", shed_);
-    reader.requireU64("retries_sent", retriesSent_);
-    reader.requireU64("hedges_sent", hedgesSent_);
-    reader.requireU64("leaked_blocks", leakedBlocks_);
-    reader.requireU64("leaked_hops", leakedHops_);
-    reader.requireU64("jobs_created", jobs_.created());
-    reader.requireU64("jobs_live", jobs_.liveJobs());
-    snapshot::requireRngState(reader, "rng", rng_.state());
-    snapshot::requireRngState(reader, "retry_rng", retryRng_.state());
-    reader.requireU64("active_roots", roots_.size());
-    reader.requireU64("dead_jobs", deadJobs_.size());
-    reader.requireU64("edges", edges_.size());
-    reader.requireU64("active_state_digest", activeStateDigest());
-    deployment_.loadState(reader);
-    reader.closeSection();
+    deployment_.foldState(digest);
 }
 
 }  // namespace uqsim

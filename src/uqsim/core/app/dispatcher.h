@@ -54,6 +54,7 @@
 #include "uqsim/core/sim/report.h"
 #include "uqsim/fault/resilience.h"
 #include "uqsim/hw/network.h"
+#include "uqsim/snapshot/snapshot.h"
 #include "uqsim/stats/running_quantile.h"
 
 namespace uqsim {
@@ -158,16 +159,12 @@ class Dispatcher {
     std::uint64_t leakedHops() const { return leakedHops_; }
 
     /**
-     * Writes the DISPATCHER snapshot section: request counters, RNG
-     * positions, deterministic folds of the active-root map, dead-job
-     * set, per-edge breaker + latency state, per-tier fault counters,
-     * and the deployment's pool/cursor state (snapshot.h).
+     * Folds the DISPATCHER layer into @p digest: request counters,
+     * RNG positions, the active-root map, dead-job set, per-edge
+     * breaker + latency state, per-tier fault counters, and the
+     * deployment's pool/cursor state (snapshot.h).
      */
-    void saveState(snapshot::SnapshotWriter& writer) const;
-
-    /** Validates the live (replayed) state against a snapshot's
-     *  DISPATCHER section; throws SnapshotStateError on divergence. */
-    void loadState(snapshot::SnapshotReader& reader) const;
+    void foldState(snapshot::Digest& digest) const;
 
   private:
     struct ForwardHop {
@@ -225,11 +222,13 @@ class Dispatcher {
     /** Per-(upstream, downstream) service-edge runtime state. */
     struct EdgeRuntime {
         std::unique_ptr<fault::CircuitBreaker> breaker;
-        /** Winner hop latencies (seconds) in completion order; the
-         *  snapshot fold reads them. */
-        std::vector<double> hopLatencies;
-        /** Running hedge_percentile of hopLatencies, engaged when the
-         *  edge's policy hedges adaptively. */
+        /** Winner hops on this edge, and a running fold of their
+         *  latencies (seconds) in completion order; only the
+         *  DISPATCHER snapshot fold reads them. */
+        std::uint64_t hopCount = 0;
+        snapshot::Digest hopLatencyFold;
+        /** Running hedge_percentile of the winner hop latencies,
+         *  engaged when the edge's policy hedges adaptively. */
         std::optional<stats::RunningQuantile> hedgeQuantile;
     };
 
@@ -327,11 +326,6 @@ class Dispatcher {
     void decrementInflight(std::uint32_t front_id);
     /** Id-indexed fault counters, grown on demand. */
     TierFaultStats& tierFault(std::uint32_t tier_id);
-
-    /** Deterministic fold of the active-root map, dead-job set,
-     *  per-edge runtime state, and per-tier fault counters
-     *  (snapshot save + validate share this). */
-    std::uint64_t activeStateDigest() const;
 
     Simulator& sim_;
     hw::Network& network_;

@@ -201,15 +201,19 @@ EventQueue::pendingStateHash() const
     return h;
 }
 
-std::uint64_t
-EventQueue::pendingDigest() const
+void
+EventQueue::foldState(snapshot::Digest& digest) const
 {
-    // Sorted (when, sequence) order — NOT heap layout order, which
-    // depends on the insertion/removal history in ways the replayed
-    // queue reproduces anyway but that would make the digest fragile
-    // to future heap tweaks.  Labels are string literals with stable
-    // content, so folding them pins *which* events are pending, not
-    // just when.
+    digest.u64(nextSequence_);
+    digest.u64(heap_.size());
+    digest.u64(freeList_.size());
+    digest.u64(poolCapacity());
+    // Pending events in sorted (when, sequence) order — NOT heap
+    // layout order, which depends on the insertion/removal history in
+    // ways the replayed queue reproduces anyway but that would make
+    // the fold fragile to future heap tweaks.  Labels are string
+    // literals with stable content, so folding them pins *which*
+    // events are pending, not just when.
     std::vector<const HeapEntry*> sorted;
     sorted.reserve(heap_.size());
     for (const HeapEntry& entry : heap_)
@@ -218,49 +222,18 @@ EventQueue::pendingDigest() const
               [](const HeapEntry* a, const HeapEntry* b) {
                   return a->before(*b);
               });
-    snapshot::Digest digest;
     for (const HeapEntry* entry : sorted) {
         digest.i64(entry->when);
         digest.u64(entry->sequence);
         digest.str(slotPtr(entry->slot)->label);
     }
-    return digest.value();
-}
-
-std::uint64_t
-EventQueue::generationDigest() const
-{
     // Slot-index order: slot allocation is deterministic under
     // replay, so generation counters (and with them every live
     // EventHandle's validity) replay exactly.
-    snapshot::Digest digest;
     for (std::uint32_t index = 0;
          index < static_cast<std::uint32_t>(poolCapacity()); ++index) {
         digest.u32(slotPtr(index)->generation);
     }
-    return digest.value();
-}
-
-void
-EventQueue::saveState(snapshot::SnapshotWriter& writer) const
-{
-    writer.putU64(nextSequence_);
-    writer.putU64(heap_.size());
-    writer.putU64(freeList_.size());
-    writer.putU64(poolCapacity());
-    writer.putU64(pendingDigest());
-    writer.putU64(generationDigest());
-}
-
-void
-EventQueue::loadState(snapshot::SnapshotReader& reader) const
-{
-    reader.requireU64("queue.next_sequence", nextSequence_);
-    reader.requireU64("queue.pending", heap_.size());
-    reader.requireU64("queue.free_slots", freeList_.size());
-    reader.requireU64("queue.pool_capacity", poolCapacity());
-    reader.requireU64("queue.pending_digest", pendingDigest());
-    reader.requireU64("queue.generation_digest", generationDigest());
 }
 
 void

@@ -114,27 +114,13 @@ Simulator::popChosen()
 }
 
 void
-Simulator::saveState(snapshot::SnapshotWriter& writer) const
+Simulator::foldState(snapshot::Digest& digest) const
 {
-    writer.beginSection(snapshot::SectionId::Engine);
-    writer.putI64(now_);
-    writer.putU64(masterSeed_);
-    writer.putU64(executedEvents_);
-    writer.putU64(traceDigest_);
-    queue_.saveState(writer);
-    writer.endSection();
-}
-
-void
-Simulator::loadState(snapshot::SnapshotReader& reader) const
-{
-    reader.openSection(snapshot::SectionId::Engine);
-    reader.requireI64("now", now_);
-    reader.requireU64("master_seed", masterSeed_);
-    reader.requireU64("executed_events", executedEvents_);
-    reader.requireU64("trace_digest", traceDigest_);
-    queue_.loadState(reader);
-    reader.closeSection();
+    digest.i64(now_);
+    digest.u64(masterSeed_);
+    digest.u64(executedEvents_);
+    digest.u64(traceDigest_);
+    queue_.foldState(digest);
 }
 
 audit::AuditReport

@@ -29,8 +29,7 @@
 namespace uqsim {
 
 namespace snapshot {
-class SnapshotWriter;
-class SnapshotReader;
+class Digest;
 }  // namespace snapshot
 
 /** Why Simulator::run() returned. */
@@ -194,18 +193,11 @@ class Simulator {
     static constexpr std::uint64_t kControlPollEvents = 1024;
 
     /**
-     * Writes the ENGINE snapshot section: clock, executed-event
-     * count, trace digest, and the event queue's pool/heap state
-     * (snapshot.h).  Must be called between events.
+     * Folds the ENGINE layer into @p digest: clock, master seed,
+     * executed-event count, trace digest, then the event queue's
+     * pool/heap state (snapshot.h).  Must be called between events.
      */
-    void saveState(snapshot::SnapshotWriter& writer) const;
-
-    /**
-     * Validates the live (replayed) engine state against a
-     * snapshot's ENGINE section; throws SnapshotStateError on any
-     * divergence.  See docs/ARCHITECTURE.md §"Checkpoint / restore".
-     */
-    void loadState(snapshot::SnapshotReader& reader) const;
+    void foldState(snapshot::Digest& digest) const;
 
   private:
     StopReason runLoop(SimTime until, std::uint64_t max_events,

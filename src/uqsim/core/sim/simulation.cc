@@ -1,5 +1,6 @@
 #include "uqsim/core/sim/simulation.h"
 
+#include <array>
 #include <chrono>
 #include <stdexcept>
 
@@ -362,115 +363,60 @@ Simulation::snapshotMeta() const
     return meta;
 }
 
-void
-Simulation::saveState(snapshot::SnapshotWriter& writer) const
+snapshot::LayerFolds
+Simulation::layerFolds() const
 {
     if (!finalized())
-        throw std::logic_error("finalize() before saveState()");
-    writer.setMeta(snapshotMeta());
+        throw std::logic_error("finalize() before layerFolds()");
+    using snapshot::Layer;
+    std::array<snapshot::Digest, snapshot::kLayerCount> digests;
+    const auto layer = [&digests](Layer id) -> snapshot::Digest& {
+        return digests[static_cast<std::size_t>(id)];
+    };
 
-    sim_.saveState(writer);  // ENGINE
+    sim_.foldState(layer(Layer::Engine));
 
-    writer.beginSection(snapshot::SectionId::Clients);
-    writer.putU64(clients_.size());
+    snapshot::Digest& clientFold = layer(Layer::Clients);
+    clientFold.u64(clients_.size());
     for (const auto& client : clients_)
-        client->saveState(writer);
-    writer.endSection();
+        client->foldState(clientFold);
 
-    dispatcher_->saveState(writer);          // DISPATCHER
-    cluster_->network().saveState(writer);   // NETWORK
+    dispatcher_->foldState(layer(Layer::Dispatcher));
+    cluster_->network().foldState(layer(Layer::Network));
 
-    writer.beginSection(snapshot::SectionId::Disks);
+    snapshot::Digest& diskFold = layer(Layer::Disks);
     std::uint64_t diskCount = 0;
     for (const hw::Machine* machine : cluster_->machines())
         diskCount += machine->disks().size();
-    writer.putU64(diskCount);
+    diskFold.u64(diskCount);
     for (const hw::Machine* machine : cluster_->machines()) {
         for (const auto& disk : machine->disks())
-            disk->saveState(writer);
+            disk->foldState(diskFold);
     }
-    writer.endSection();
 
-    // The FAULTS section exists exactly when the run has a fault
-    // plan; restore rebuilds from the same config, so presence is
-    // symmetric by construction.
+    // Without a fault plan the FAULTS fold stays the empty fold;
+    // restore rebuilds from the same config, so both sides agree.
     if (faultScheduler_)
-        faultScheduler_->saveState(writer);
+        faultScheduler_->foldState(layer(Layer::Faults));
 
-    writer.beginSection(snapshot::SectionId::Stats);
-    writer.putU64(measuredCompletions_);
-    writer.putU64(measuredGenerated_);
-    writer.putU64(measuredFailed_);
-    writer.putU64(endToEnd_.count());
-    snapshot::Digest e2e;
+    snapshot::Digest& statsFold = layer(Layer::Stats);
+    statsFold.u64(measuredCompletions_);
+    statsFold.u64(measuredGenerated_);
+    statsFold.u64(measuredFailed_);
+    statsFold.u64(endToEnd_.count());
     for (double value : endToEnd_.values())
-        e2e.f64(value);
-    writer.putU64(e2e.value());
-    writer.putU64(tiersById_.size());
-    snapshot::Digest tiers;
+        statsFold.f64(value);
+    statsFold.u64(tiersById_.size());
     for (const stats::PercentileRecorder& tier : tiersById_) {
-        tiers.u64(tier.count());
+        statsFold.u64(tier.count());
         for (double value : tier.values())
-            tiers.f64(value);
+            statsFold.f64(value);
     }
-    writer.putU64(tiers.value());
-    writer.endSection();
-}
 
-void
-Simulation::loadState(snapshot::SnapshotReader& reader) const
-{
-    if (!finalized())
-        throw std::logic_error("finalize() before loadState()");
-
-    sim_.loadState(reader);  // ENGINE
-
-    reader.openSection(snapshot::SectionId::Clients);
-    reader.requireU64("clients", clients_.size());
-    for (std::size_t i = 0; i < clients_.size(); ++i) {
-        clients_[i]->loadState(reader,
-                               "client" + std::to_string(i));
-    }
-    reader.closeSection();
-
-    dispatcher_->loadState(reader);          // DISPATCHER
-    cluster_->network().loadState(reader);   // NETWORK
-
-    reader.openSection(snapshot::SectionId::Disks);
-    std::uint64_t diskCount = 0;
-    for (const hw::Machine* machine : cluster_->machines())
-        diskCount += machine->disks().size();
-    reader.requireU64("disks", diskCount);
-    std::size_t diskIndex = 0;
-    for (const hw::Machine* machine : cluster_->machines()) {
-        for (const auto& disk : machine->disks()) {
-            disk->loadState(
-                reader, "disk" + std::to_string(diskIndex++));
-        }
-    }
-    reader.closeSection();
-
-    if (faultScheduler_)
-        faultScheduler_->loadState(reader);
-
-    reader.openSection(snapshot::SectionId::Stats);
-    reader.requireU64("measured_completions", measuredCompletions_);
-    reader.requireU64("measured_generated", measuredGenerated_);
-    reader.requireU64("measured_failed", measuredFailed_);
-    reader.requireU64("end_to_end", endToEnd_.count());
-    snapshot::Digest e2e;
-    for (double value : endToEnd_.values())
-        e2e.f64(value);
-    reader.requireU64("end_to_end_digest", e2e.value());
-    reader.requireU64("tiers", tiersById_.size());
-    snapshot::Digest tiers;
-    for (const stats::PercentileRecorder& tier : tiersById_) {
-        tiers.u64(tier.count());
-        for (double value : tier.values())
-            tiers.f64(value);
-    }
-    reader.requireU64("tier_digest", tiers.value());
-    reader.closeSection();
+    snapshot::LayerFolds folds;
+    for (std::size_t i = 0; i < snapshot::kLayerCount; ++i)
+        folds[i] = digests[i].value();
+    return folds;
 }
 
 namespace {

@@ -35,7 +35,6 @@
 #include "uqsim/hw/cluster.h"
 #include "uqsim/snapshot/snapshot.h"
 #include "uqsim/stats/percentile_recorder.h"
-#include "uqsim/stats/throughput_meter.h"
 #include "uqsim/workload/client.h"
 
 namespace uqsim {
@@ -135,20 +134,13 @@ class Simulation {
     snapshot::SnapshotMeta snapshotMeta() const;
 
     /**
-     * Serializes every stateful layer into @p writer (one section
-     * per layer) and sets the snapshot meta.  Must be called between
+     * One order-sensitive fold per stateful layer, indexed by
+     * snapshot::Layer: each layer's foldState() into its own digest.
+     * A checkpoint stores these beside snapshotMeta(); restore
+     * replays to the pin and compares them.  Must be called between
      * events — after an advance*() return, never from inside one.
      */
-    void saveState(snapshot::SnapshotWriter& writer) const;
-
-    /**
-     * Validates every layer's live state against @p reader's
-     * sections; throws snapshot::SnapshotStateError naming the
-     * section and field on any divergence.  The caller (restore)
-     * must already have replayed this simulation to the snapshot's
-     * executed-event count.
-     */
-    void loadState(snapshot::SnapshotReader& reader) const;
+    snapshot::LayerFolds layerFolds() const;
 
     /**
      * Attaches a supervisor mailbox to the engine (nullptr

@@ -414,37 +414,16 @@ FaultScheduler::crash(MicroserviceInstance& target)
 }
 
 void
-FaultScheduler::saveState(snapshot::SnapshotWriter& writer) const
+FaultScheduler::foldState(snapshot::Digest& digest) const
 {
-    writer.beginSection(snapshot::SectionId::Faults);
-    writer.putU64(crashes_);
-    writer.putI64(horizon_);
-    writer.putU64(plan_.faults.size());
-    writer.putU64(streams_.size());
-    snapshot::Digest streams;
+    digest.u64(crashes_);
+    digest.i64(horizon_);
+    digest.u64(plan_.faults.size());
+    digest.u64(streams_.size());
     for (const auto& stream : streams_) {
-        streams.str(stream->label());
-        snapshot::digestRngState(streams, stream->state());
+        digest.str(stream->label());
+        snapshot::digestRngState(digest, stream->state());
     }
-    writer.putU64(streams.value());
-    writer.endSection();
-}
-
-void
-FaultScheduler::loadState(snapshot::SnapshotReader& reader) const
-{
-    reader.openSection(snapshot::SectionId::Faults);
-    reader.requireU64("crashes", crashes_);
-    reader.requireI64("horizon", horizon_);
-    reader.requireU64("plan_size", plan_.faults.size());
-    reader.requireU64("streams", streams_.size());
-    snapshot::Digest streams;
-    for (const auto& stream : streams_) {
-        streams.str(stream->label());
-        snapshot::digestRngState(streams, stream->state());
-    }
-    reader.requireU64("stream_digest", streams.value());
-    reader.closeSection();
 }
 
 }  // namespace fault

@@ -112,77 +112,30 @@ digestOp(snapshot::Digest& digest, std::uint64_t id,
     digest.str(op.label);
 }
 
-/**
- * Fold of the in-service operations (id order), then the FIFO.  A
- * waiting operation gets its id on admission, and admission is
- * strict FIFO, so the i-th waiting one will be nextId() + i; it is
- * folded under that id with all its bytes left.
- */
-std::uint64_t
-opsDigest(const FluidSolver& solver,
-          const std::deque<FluidSolver::Flow>& waiting)
-{
-    snapshot::Digest digest;
-    for (const auto& [id, op] : solver.flows())
-        digestOp(digest, id, op, op.remainingBytes);
-    std::uint64_t id = solver.nextId();
-    for (const FluidSolver::Flow& op : waiting)
-        digestOp(digest, id++, op, static_cast<double>(op.sizeBytes));
-    return digest.value();
-}
-
 }  // namespace
 
 void
-Disk::saveState(snapshot::SnapshotWriter& writer) const
+Disk::foldState(snapshot::Digest& digest) const
 {
-    writer.putString(label_);
-    writer.putU64(submitted_);
-    writer.putU64(readsCompleted_);
-    writer.putU64(writesCompleted_);
-    writer.putU64(bytesRead_);
-    writer.putU64(bytesWritten_);
-    writer.putU64(queuedOps_);
-    writer.putU64(peakQueued_);
-    writer.putU64(solver_.reshareCount());
-    writer.putU64(solver_.nextId() + waiting_.size());
-    writer.putI64(solver_.lastUpdate());
-    writer.putF64(solver_.busyTicks(solver_.lastUpdate()));
-    writer.putU64(solver_.flows().size());
-    writer.putU64(waiting_.size());
-    writer.putU64(opsDigest(solver_, waiting_));
-}
-
-void
-Disk::loadState(snapshot::SnapshotReader& reader,
-                const std::string& name) const
-{
-    const auto field = [&name](const char* suffix) {
-        return name + "." + suffix;
-    };
-    reader.requireString(field("label").c_str(), label_);
-    reader.requireU64(field("submitted").c_str(), submitted_);
-    reader.requireU64(field("reads_completed").c_str(),
-                      readsCompleted_);
-    reader.requireU64(field("writes_completed").c_str(),
-                      writesCompleted_);
-    reader.requireU64(field("bytes_read").c_str(), bytesRead_);
-    reader.requireU64(field("bytes_written").c_str(), bytesWritten_);
-    reader.requireU64(field("queued_ops").c_str(), queuedOps_);
-    reader.requireU64(field("peak_queued").c_str(), peakQueued_);
-    reader.requireU64(field("reshares").c_str(),
-                      solver_.reshareCount());
-    reader.requireU64(field("next_op_id").c_str(),
-                      solver_.nextId() + waiting_.size());
-    reader.requireI64(field("last_update").c_str(),
-                      solver_.lastUpdate());
-    reader.requireF64(field("busy_ticks").c_str(),
-                      solver_.busyTicks(solver_.lastUpdate()));
-    reader.requireU64(field("in_service").c_str(),
-                      solver_.flows().size());
-    reader.requireU64(field("waiting").c_str(), waiting_.size());
-    reader.requireU64(field("op_digest").c_str(),
-                      opsDigest(solver_, waiting_));
+    digest.str(label_);
+    digest.u64(submitted_);
+    digest.u64(readsCompleted_);
+    digest.u64(writesCompleted_);
+    digest.u64(bytesRead_);
+    digest.u64(bytesWritten_);
+    digest.u64(queuedOps_);
+    digest.u64(peakQueued_);
+    digest.u64(solver_.reshareCount());
+    digest.u64(solver_.nextId() + waiting_.size());
+    digest.i64(solver_.lastUpdate());
+    digest.f64(solver_.busyTicks(solver_.lastUpdate()));
+    digest.u64(solver_.flows().size());
+    digest.u64(waiting_.size());
+    for (const auto& [id, op] : solver_.flows())
+        digestOp(digest, id, op, op.remainingBytes);
+    std::uint64_t id = solver_.nextId();
+    for (const FluidSolver::Flow& op : waiting_)
+        digestOp(digest, id++, op, static_cast<double>(op.sizeBytes));
 }
 
 }  // namespace hw

@@ -102,16 +102,14 @@ class Disk {
     double utilization(SimTime now) const;
 
     /**
-     * Serializes this disk's state into the open DISKS snapshot
-     * section: counters, busy integral, and deterministic folds of
-     * the in-service map (id order) and waiting FIFO.
+     * Folds this disk into the DISKS layer: label, counters, the
+     * next operation id counted in submissions, busy integral, then
+     * the in-service operations (id order) and the waiting FIFO.  A
+     * waiting operation gets its id on admission, and admission is
+     * strict FIFO, so the i-th waiting one will be nextId() + i; it
+     * is folded under that id with all its bytes left.
      */
-    void saveState(snapshot::SnapshotWriter& writer) const;
-
-    /** Validates the live (replayed) state against saveState()'s
-     *  fields; @p name prefixes field names in error messages. */
-    void loadState(snapshot::SnapshotReader& reader,
-                   const std::string& name) const;
+    void foldState(snapshot::Digest& digest) const;
 
   private:
     /** Counts a finished operation and admits the FIFO head into

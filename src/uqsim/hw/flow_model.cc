@@ -518,19 +518,22 @@ FlowModel::activeFlowRates() const
     return rates;
 }
 
-namespace {
-
-/** Deterministic fold of a FlowModel's dynamic state: active flows
- *  in id order, per-link fault state, partition map, and sticky
- *  failover picks. */
-template <typename FlowMap, typename LinkStates, typename Partition,
-          typename Picks>
-std::uint64_t
-flowStateDigest(const FlowMap& flows, const LinkStates& linkStates,
-                const Partition& partitionOf, const Picks& picks)
+void
+FlowModel::foldState(snapshot::Digest& digest) const
 {
-    snapshot::Digest digest;
-    for (const auto& [id, flow] : flows) {
+    digest.u64(started_);
+    digest.u64(finished_);
+    digest.u64(solver_.reshareCount());
+    digest.u64(failovers_);
+    digest.u64(unreachable_);
+    digest.u64(linkDrops_);
+    digest.u64(solver_.nextId());
+    digest.i64(solver_.lastUpdate());
+    digest.i64(downLinkCount_);
+    digest.boolean(partitionActive_);
+    digest.u64(solver_.flows().size());
+    digest.u64(failoverPicks_.size());
+    for (const auto& [id, flow] : solver_.flows()) {
         digest.u64(id);
         digest.f64(flow.remainingBytes);
         digest.f64(flow.rate);
@@ -538,7 +541,7 @@ flowStateDigest(const FlowMap& flows, const LinkStates& linkStates,
         digest.str(flow.label);
         digest.boolean(flow.completion.pending());
     }
-    for (const auto& state : linkStates) {
+    for (const auto& state : linkStates_) {
         digest.i64(state.downCount);
         digest.f64(state.capacityFactor);
         digest.f64(state.latencyFactor);
@@ -546,61 +549,19 @@ flowStateDigest(const FlowMap& flows, const LinkStates& linkStates,
         digest.f64(state.downSecondsTotal);
         digest.u64(state.drops);
     }
-    for (const int group : partitionOf)
+    for (const int group : partitionOf_)
         digest.i64(group);
-    for (const auto& [pair, path] : picks) {
+    for (const auto& [pair, path] : failoverPicks_) {
         digest.i64(pair.first);
         digest.i64(pair.second);
-        // The pick is a pointer into route storage; digest the
-        // picked path's content (or a none marker for unreachable).
+        // The pick is a pointer into route storage; fold the picked
+        // path's content (or a none marker for unreachable).
         digest.boolean(path != nullptr);
         if (path != nullptr) {
             for (const int link : *path)
                 digest.i64(link);
         }
     }
-    return digest.value();
-}
-
-}  // namespace
-
-void
-FlowModel::saveState(snapshot::SnapshotWriter& writer) const
-{
-    writer.putU64(started_);
-    writer.putU64(finished_);
-    writer.putU64(solver_.reshareCount());
-    writer.putU64(failovers_);
-    writer.putU64(unreachable_);
-    writer.putU64(linkDrops_);
-    writer.putU64(solver_.nextId());
-    writer.putI64(solver_.lastUpdate());
-    writer.putI64(downLinkCount_);
-    writer.putBool(partitionActive_);
-    writer.putU64(solver_.flows().size());
-    writer.putU64(failoverPicks_.size());
-    writer.putU64(flowStateDigest(solver_.flows(), linkStates_,
-                                  partitionOf_, failoverPicks_));
-}
-
-void
-FlowModel::loadState(snapshot::SnapshotReader& reader) const
-{
-    reader.requireU64("flow.started", started_);
-    reader.requireU64("flow.finished", finished_);
-    reader.requireU64("flow.reshares", solver_.reshareCount());
-    reader.requireU64("flow.failovers", failovers_);
-    reader.requireU64("flow.unreachable", unreachable_);
-    reader.requireU64("flow.link_drops", linkDrops_);
-    reader.requireU64("flow.next_flow_id", solver_.nextId());
-    reader.requireI64("flow.last_update", solver_.lastUpdate());
-    reader.requireI64("flow.down_links", downLinkCount_);
-    reader.requireBool("flow.partition_active", partitionActive_);
-    reader.requireU64("flow.active_flows", solver_.flows().size());
-    reader.requireU64("flow.failover_picks", failoverPicks_.size());
-    reader.requireU64("flow.state_digest",
-                      flowStateDigest(solver_.flows(), linkStates_,
-                                      partitionOf_, failoverPicks_));
 }
 
 }  // namespace hw

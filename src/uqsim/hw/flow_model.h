@@ -198,11 +198,10 @@ class FlowModel final : public NetworkModel {
                   double extraLatencySeconds, Callback done,
                   const char* label) override;
 
-    /** FlowModel state in the NETWORK section: flow counters,
-     *  per-link nested-down/degradation state, partition and sticky
-     *  failover-pick state, and an active-flow fold in id order. */
-    void saveState(snapshot::SnapshotWriter& writer) const override;
-    void loadState(snapshot::SnapshotReader& reader) const override;
+    /** Folds FlowModel state into the NETWORK layer: flow counters,
+     *  active flows in id order, per-link nested-down/degradation
+     *  state, partition map, and sticky failover picks. */
+    void foldState(snapshot::Digest& digest) const override;
 
     // ------------------------------------------------ observability
 

@@ -112,33 +112,16 @@ Network::deliver(Machine* to, std::uint32_t bytes, Callback done)
 }
 
 void
-Network::saveState(snapshot::SnapshotWriter& writer) const
+Network::foldState(snapshot::Digest& digest) const
 {
-    writer.beginSection(snapshot::SectionId::Network);
-    writer.putString(model_->modelName());
-    writer.putU64(transfers_);
-    writer.putU64(dropped_);
-    writer.putBool(degraded_);
-    writer.putF64(extraLatency_);
-    writer.putF64(lossProb_);
-    snapshot::putRngState(writer, faultRng_.state());
-    model_->saveState(writer);
-    writer.endSection();
-}
-
-void
-Network::loadState(snapshot::SnapshotReader& reader) const
-{
-    reader.openSection(snapshot::SectionId::Network);
-    reader.requireString("model", model_->modelName());
-    reader.requireU64("transfers", transfers_);
-    reader.requireU64("dropped", dropped_);
-    reader.requireBool("degraded", degraded_);
-    reader.requireF64("extra_latency", extraLatency_);
-    reader.requireF64("loss_prob", lossProb_);
-    snapshot::requireRngState(reader, "fault_rng", faultRng_.state());
-    model_->loadState(reader);
-    reader.closeSection();
+    digest.str(model_->modelName());
+    digest.u64(transfers_);
+    digest.u64(dropped_);
+    digest.boolean(degraded_);
+    digest.f64(extraLatency_);
+    digest.f64(lossProb_);
+    snapshot::digestRngState(digest, faultRng_.state());
+    model_->foldState(digest);
 }
 
 }  // namespace hw

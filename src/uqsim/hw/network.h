@@ -73,15 +73,11 @@ class Network {
     std::uint64_t droppedMessages() const { return dropped_; }
 
     /**
-     * Writes the NETWORK snapshot section: façade counters,
-     * degradation-window state, loss-stream RNG position, and the
-     * model's own state (NetworkModel::saveState).
+     * Folds the NETWORK layer into @p digest: model name, façade
+     * counters, degradation-window state, loss-stream RNG position,
+     * and the model's own state (NetworkModel::foldState).
      */
-    void saveState(snapshot::SnapshotWriter& writer) const;
-
-    /** Validates the live (replayed) state against a snapshot's
-     *  NETWORK section; throws SnapshotStateError on divergence. */
-    void loadState(snapshot::SnapshotReader& reader) const;
+    void foldState(snapshot::Digest& digest) const;
 
   private:
     void deliver(Machine* to, std::uint32_t bytes, Callback done);

@@ -3,7 +3,6 @@
 #include <utility>
 
 #include "uqsim/hw/machine.h"
-#include "uqsim/snapshot/snapshot.h"
 
 namespace uqsim {
 namespace hw {
@@ -26,18 +25,6 @@ void
 NetworkModel::onMachineAdded(const Machine& machine)
 {
     (void)machine;
-}
-
-void
-NetworkModel::saveState(snapshot::SnapshotWriter& writer) const
-{
-    (void)writer;
-}
-
-void
-NetworkModel::loadState(snapshot::SnapshotReader& reader) const
-{
-    (void)reader;
 }
 
 ConstantModel::ConstantModel() : ConstantModel(Config{})

@@ -103,16 +103,15 @@ class NetworkModel {
                           const char* label) = 0;
 
     /**
-     * Serializes model-specific state into the open NETWORK snapshot
-     * section (snapshot.h).  The default writes nothing — correct
-     * for stateless models like ConstantModel, whose in-flight
-     * messages live entirely in the engine's event queue.
+     * Folds model-specific state into the NETWORK layer
+     * (snapshot.h).  The default folds nothing — correct for
+     * stateless models like ConstantModel, whose in-flight messages
+     * live entirely in the engine's event queue.
      */
-    virtual void saveState(snapshot::SnapshotWriter& writer) const;
-
-    /** Validates live model state against saveState()'s fields; the
-     *  default reads nothing. */
-    virtual void loadState(snapshot::SnapshotReader& reader) const;
+    virtual void foldState(snapshot::Digest& digest) const
+    {
+        (void)digest;
+    }
 };
 
 /**

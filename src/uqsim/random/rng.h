@@ -58,7 +58,7 @@ class Rng {
      */
     double nextGaussian();
 
-    /** Raw generator state, exposed for snapshot save/validate: the
+    /** Raw generator state, exposed for the snapshot folds: the
      *  four xoshiro256++ state words plus the Gaussian carry. */
     struct State {
         std::uint64_t words[4];

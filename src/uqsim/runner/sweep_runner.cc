@@ -214,6 +214,8 @@ struct JobSlot {
     stats::PercentileRecorder latencies;
     /** Original exception, kept for the Propagate policy. */
     std::exception_ptr raw;
+    /** The job continued from a restored snapshot. */
+    bool resumed = false;
 };
 
 JournalEntry
@@ -413,8 +415,9 @@ SweepRunner::run()
                             try {
                                 snapshot::restoreFromSnapshot(
                                     *simulation, found->path);
+                                slot.resumed = true;
                             } catch (const std::exception& error) {
-                                // Resume is an optimization: a
+                                // Resume saves no wall time, so a
                                 // snapshot that fails validation is
                                 // reported and the job simply runs
                                 // fresh from a rebuilt simulation
@@ -503,6 +506,8 @@ SweepRunner::run()
     for (const JobSlot& slot : slots) {
         if (!slot.result.ok())
             ++failedJobs_;
+        if (slot.resumed)
+            ++snapshotResumes_;
     }
     if (options_.failurePolicy == FailurePolicy::Propagate) {
         for (const JobSlot& slot : slots) {

@@ -116,8 +116,11 @@ struct RunnerOptions {
      * With checkpointing enabled: before simulating a job from
      * scratch, look for its newest valid snapshot and restore from
      * it (replay-validated).  A snapshot that fails restore is
-     * reported on stderr and the job runs fresh — resume is an
-     * optimization, never a correctness risk.
+     * reported on stderr and the job runs fresh, as does a job whose
+     * only snapshots are of another format version (the scan skips
+     * them).  Resume verifies the replay; it saves no wall time and
+     * is never a correctness risk.  snapshotResumes() counts the
+     * jobs that did restore.
      */
     bool resumeFromSnapshot = false;
 };
@@ -242,6 +245,9 @@ class SweepRunner {
     /** After run(): jobs skipped because the resume journal already
      *  recorded them ok. */
     int restoredJobs() const { return restoredJobs_; }
+    /** After run(): jobs that continued from a restored snapshot
+     *  (resumeFromSnapshot) instead of running fresh. */
+    int snapshotResumes() const { return snapshotResumes_; }
     /** After run(): jobs that failed (by taxonomy, all kinds). */
     int failedJobs() const { return failedJobs_; }
 
@@ -266,6 +272,7 @@ class SweepRunner {
     std::vector<SweepSpec> sweeps_;
     bool ran_ = false;
     int restoredJobs_ = 0;
+    int snapshotResumes_ = 0;
     int failedJobs_ = 0;
     std::vector<std::string> resumeWarnings_;
 };

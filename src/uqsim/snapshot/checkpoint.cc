@@ -56,15 +56,15 @@ std::string
 writeCheckpoint(const Simulation& simulation, const std::string& dir,
                 const std::string& prefix)
 {
-    SnapshotWriter writer;
-    simulation.saveState(writer);
+    const Snapshot snapshot{simulation.snapshotMeta(),
+                            simulation.layerFolds()};
     std::error_code ec;
     fs::create_directories(dir, ec);  // writeFile reports failures
     const std::string path =
         (fs::path(dir) /
-         checkpointFileName(prefix, simulation.sim().executedEvents()))
+         checkpointFileName(prefix, snapshot.meta.executedEvents))
             .string();
-    writer.writeFile(path);
+    writeFile(path, snapshot);
     return path;
 }
 
@@ -108,9 +108,8 @@ newestValidSnapshot(const std::string& dir, const std::string& prefix)
               [](const auto& a, const auto& b) { return b < a; });
     for (const auto& [events, path] : found) {
         try {
-            SnapshotReader reader =
-                SnapshotReader::fromFile(path.string());
-            return FoundSnapshot{path.string(), reader.meta()};
+            return FoundSnapshot{path.string(),
+                                 readFile(path.string()).meta};
         } catch (const SnapshotError&) {
             continue;
         }
@@ -197,8 +196,8 @@ CheckpointManager::run()
 void
 restoreFromSnapshot(Simulation& simulation, const std::string& path)
 {
-    SnapshotReader reader = SnapshotReader::fromFile(path);
-    const SnapshotMeta& meta = reader.meta();
+    const Snapshot snapshot = readFile(path);
+    const SnapshotMeta& meta = snapshot.meta;
 
     if (!simulation.finalized()) {
         throw std::logic_error(
@@ -243,7 +242,16 @@ restoreFromSnapshot(Simulation& simulation, const std::string& path)
             std::to_string(meta.traceDigest));
     }
 
-    simulation.loadState(reader);
+    const LayerFolds live = simulation.layerFolds();
+    for (std::size_t i = 0; i < kLayerCount; ++i) {
+        if (live[i] != snapshot.folds[i]) {
+            throw SnapshotStateError(
+                std::string("replay diverged in the ") +
+                layerName(static_cast<Layer>(i)) +
+                " layer: snapshot fold " + hex(snapshot.folds[i]) +
+                ", live " + hex(live[i]));
+        }
+    }
 
     if (audit::auditModeEnabled()) {
         simulation.sim().auditEngine().raise("post-restore");

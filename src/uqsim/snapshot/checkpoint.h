@@ -8,9 +8,9 @@
  *
  * CheckpointManager runs a finalized Simulation to completion while
  * writing a snapshot every N executed events or every S simulated
- * seconds.  Files land as "<dir>/<prefix>-e<events>.uqsnap" via the
- * writer's atomic write-then-rename, and only the newest `keep` are
- * retained.  Checkpointing rides entirely on the segmented-run API
+ * seconds.  Files land as "<dir>/<prefix>-e<events>.uqsnap" via
+ * snapshot::writeFile's atomic write-then-rename, and only the newest
+ * `keep` are retained.  Checkpointing rides entirely on the segmented-run API
  * (Simulation::advanceToEvents / advanceToTime), whose segment
  * boundaries never move the clock — a checkpointed run fires the
  * exact same event sequence, and therefore produces the exact same
@@ -26,12 +26,12 @@
  * Restore is replay-validated (see snapshot.h): the caller rebuilds
  * a Simulation from the identical configuration, and
  * restoreFromSnapshot() replays it to the snapshot's executed-event
- * count, checks the trace digest, and validates every layer's state
- * field by field.  forkFromSnapshot() additionally re-seeds the
- * client workload streams and/or scales the offered load — the
- * warm-state forking workflow (examples/warm_fork.cpp): many what-if
+ * count, checks the trace digest, and compares the seven per-layer
+ * folds.  forkFromSnapshot() additionally re-seeds the client
+ * workload streams and/or scales the offered load — the warm-state
+ * forking workflow (examples/warm_fork.cpp): many what-if
  * continuations from one validated warm state.  Every restore or
- * fork replays from event 0, so neither saves wall time yet.
+ * fork replays from event 0, so neither saves wall time.
  */
 
 #include <cstdint>
@@ -72,9 +72,9 @@ struct CheckpointOptions {
 };
 
 /**
- * Serializes @p simulation and atomically writes it to
- * "<dir>/<prefix>-e<events>.uqsnap" (directories created as
- * needed).  Returns the final path.
+ * Writes @p simulation's replay coordinates and layer folds
+ * atomically to "<dir>/<prefix>-e<events>.uqsnap" (directories
+ * created as needed).  Returns the final path.
  */
 std::string writeCheckpoint(const Simulation& simulation,
                             const std::string& dir,
@@ -93,11 +93,10 @@ struct FoundSnapshot {
 
 /**
  * Scans @p dir for "<prefix>-e*.uqsnap" files and returns the one
- * with the highest executed-event count whose structure fully
- * validates (magic, version, CRCs).  Corrupt or truncated files —
- * e.g. a snapshot half-written by a crashed process under a stale
- * .tmp name — are skipped, never fatal.  Empty when nothing valid
- * is found.
+ * with the highest executed-event count that decodes (magics, CRC,
+ * version, size).  Corrupt or truncated files, and files of another
+ * format version, are skipped, never fatal.  Empty when nothing
+ * valid is found.
  */
 std::optional<FoundSnapshot>
 newestValidSnapshot(const std::string& dir,
@@ -140,7 +139,8 @@ class CheckpointManager {
  * be freshly finalized (zero executed events) from the *identical*
  * configuration.  Verifies the config digest and master seed against
  * the snapshot meta, replays to the pinned event count, verifies the
- * trace digest, then validates every layer via loadState().  In
+ * trace digest, then compares Simulation::layerFolds() with the
+ * stored folds, naming the first layer that differs.  In
  * audit mode (UQSIM_AUDIT) a full post-restore invariant pass runs
  * on top.  On success the simulation stands exactly where the
  * checkpointed run stood and can be continued with advance* /

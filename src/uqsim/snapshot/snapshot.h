@@ -3,37 +3,35 @@
 
 /**
  * @file
- * Versioned, checksummed binary simulation snapshots
- * (`uqsim-snapshot-v1`, docs/FORMATS.md).
+ * Fixed-size, checksummed binary simulation snapshots
+ * (`uqsim-snapshot-v2`, docs/FORMATS.md).
  *
  * A snapshot pins a deterministic run at an exact executed-event
- * count.  The file carries (a) the *replay coordinates* — config
- * digest, master seed, simulation clock, executed-event count, and
- * the engine's running trace digest at the pin — and (b) one
- * *section* per stateful layer (engine, clients, dispatcher,
- * network, disks, faults, stats) holding that layer's serialized
- * state: scalar fields verbatim, large collections as
- * deterministic-order FNV-1a folds.
+ * count.  The 128-byte file carries (a) the *replay coordinates* —
+ * config digest, master seed, simulation clock, executed-event count,
+ * and the engine's running trace digest at the pin — and (b) one
+ * order-sensitive FNV-1a fold per stateful layer (engine, clients,
+ * dispatcher, network, disks, faults, stats).  Each layer produces
+ * its fold with one `foldState(Digest&) const`.
  *
  * Restore is replay-validated (docs/ARCHITECTURE.md §"Checkpoint /
  * restore"): events are closures, so the pending-event set is not
  * re-materialized from bytes.  Instead the restorer rebuilds the
  * simulation from the identical configuration, replays
- * deterministically to the pinned event count, and then *validates*
- * every layer's live state against its section field by field.  Any
- * divergence — config drift, nondeterminism, corruption that slipped
- * past the checksums — is a hard SnapshotStateError naming the
- * section, the field, and both values.
+ * deterministically to the pinned event count, checks the trace
+ * digest, and then compares the seven live folds with the stored
+ * ones.  A divergence is a SnapshotStateError naming the first layer
+ * that differs and both fold values.
  *
- * File integrity is layered: magic + version, per-section CRC-64,
- * and a whole-file CRC-64 footer, so truncated or bit-flipped files
- * are rejected at open (SnapshotFormatError) before any replay
- * happens.  Unknown or duplicate section ids are rejected too —
- * a v2 writer's file never half-loads under a v1 reader.
+ * File integrity: both magics, a whole-file CRC-64, the version and
+ * the exact size are checked at open (SnapshotFormatError), so a
+ * truncated, bit-flipped or foreign-version file is rejected before
+ * any replay happens.
  */
 
+#include <array>
+#include <cstddef>
 #include <cstdint>
-#include <map>
 #include <stdexcept>
 #include <string>
 #include <string_view>
@@ -42,14 +40,16 @@
 namespace uqsim {
 namespace snapshot {
 
-/** Leading file magic ("UQSNAP01") of uqsim-snapshot-v1. */
+/** Leading file magic ("UQSNAP01"). */
 inline constexpr char kMagic[8] = {'U', 'Q', 'S', 'N',
                                    'A', 'P', '0', '1'};
 /** Trailing footer magic. */
 inline constexpr char kFooterMagic[8] = {'U', 'Q', 'S', 'N',
                                          'A', 'P', 'E', 'D'};
 /** Format version this build reads and writes. */
-inline constexpr std::uint32_t kFormatVersion = 1;
+inline constexpr std::uint32_t kFormatVersion = 2;
+/** Exact size of a version-2 file. */
+inline constexpr std::size_t kSnapshotSize = 128;
 
 /** Base class of every snapshot failure. */
 class SnapshotError : public std::runtime_error {
@@ -57,42 +57,47 @@ class SnapshotError : public std::runtime_error {
     using std::runtime_error::runtime_error;
 };
 
-/** The file itself is unusable: bad magic, unsupported version,
- *  checksum mismatch, truncation, unknown/duplicate section ids. */
+/** The file itself is unusable: bad magic, checksum mismatch,
+ *  unsupported version, wrong size. */
 class SnapshotFormatError : public SnapshotError {
   public:
     using SnapshotError::SnapshotError;
 };
 
-/** The file parsed, but its state disagrees with the live
- *  simulation: config-digest mismatch, replay divergence, or a
- *  field-level validation failure. */
+/** The file parsed, but it disagrees with the live simulation:
+ *  config-digest mismatch, or replay divergence in the trace digest
+ *  or a layer fold. */
 class SnapshotStateError : public SnapshotError {
   public:
     using SnapshotError::SnapshotError;
 };
 
-/** Section identities; ids are part of the on-disk format and must
- *  never be renumbered. */
-enum class SectionId : std::uint32_t {
-    Engine = 1,      ///< clock, event counters, queue + pool digests
-    Clients = 2,     ///< workload generators (RNG, outstanding, counters)
-    Dispatcher = 3,  ///< router state, edges, connection pools
-    Network = 4,     ///< façade + model (constant / flow) state
-    Disks = 5,       ///< per-disk in-flight operations and counters
-    Faults = 6,      ///< fault scheduler streams and counters
-    Stats = 7,       ///< recorders and measurement counters
+/** Stateful layers, in on-disk fold order. */
+enum class Layer : std::size_t {
+    Engine,      ///< clock, event counters, queue and pool state
+    Clients,     ///< workload generators (RNG, outstanding, counters)
+    Dispatcher,  ///< router state, edges, connection pools
+    Network,     ///< façade + model (constant / flow) state
+    Disks,       ///< per-disk in-flight operations and counters
+    Faults,      ///< fault scheduler streams and counters
+    Stats,       ///< recorders and measurement counters
 };
+inline constexpr std::size_t kLayerCount = 7;
 
-/** Stable uppercase section name for error messages. */
-const char* sectionName(SectionId id);
+/** Stable uppercase layer name for error messages. */
+const char* layerName(Layer layer);
+
+/** One fold per layer, indexed by Layer. */
+using LayerFolds = std::array<std::uint64_t, kLayerCount>;
 
 /** CRC-64/XZ (ECMA-182, reflected) over @p size bytes. */
 std::uint64_t crc64(const void* data, std::size_t size);
 
+/** "0x" plus 16 lowercase hex digits, for error messages. */
+std::string hex(std::uint64_t value);
+
 /**
- * Order-sensitive FNV-1a fold helper for digesting collections into
- * a single u64 section field (byte-wise, endian-independent — the
+ * Order-sensitive FNV-1a fold (byte-wise, endian-independent — the
  * same folding the engine's trace digest uses).
  */
 class Digest {
@@ -127,126 +132,34 @@ struct SnapshotMeta {
     std::uint64_t traceDigest = 0;
 };
 
-/**
- * Builds a snapshot: set the meta, then for each layer
- * beginSection() / put fields / endSection(), then writeFile().
- * All integers are serialized little-endian at fixed width.
- */
-class SnapshotWriter {
-  public:
-    SnapshotWriter() = default;
-
-    void setMeta(const SnapshotMeta& meta) { meta_ = meta; }
-    const SnapshotMeta& meta() const { return meta_; }
-
-    /** Starts section @p id; throws std::logic_error on a duplicate
-     *  id or an unclosed previous section. */
-    void beginSection(SectionId id);
-    void endSection();
-
-    void putU8(std::uint8_t value);
-    void putU32(std::uint32_t value);
-    void putU64(std::uint64_t value);
-    void putI64(std::int64_t value);
-    /** Exact bit pattern of @p value. */
-    void putF64(double value);
-    void putBool(bool value) { putU8(value ? 1 : 0); }
-    /** u32 length + raw bytes. */
-    void putString(std::string_view text);
-
-    /** Serializes header + section table + payloads + CRC footer. */
-    std::vector<std::uint8_t> assemble() const;
-
-    /**
-     * Atomically writes the snapshot: the bytes go to
-     * "<path>.tmp" (fsynced) and are renamed over @p path, so a
-     * crash mid-write never leaves a half-written file under the
-     * final name.  @throws SnapshotError on I/O failure.
-     */
-    void writeFile(const std::string& path) const;
-
-  private:
-    struct Section {
-        SectionId id;
-        std::vector<std::uint8_t> bytes;
-    };
-
-    SnapshotMeta meta_;
-    std::vector<Section> sections_;
-    bool sectionOpen_ = false;
+/** Everything a version-2 file holds. */
+struct Snapshot {
+    SnapshotMeta meta;
+    LayerFolds folds{};
 };
 
+/** The kSnapshotSize-byte little-endian image of @p snapshot. */
+std::vector<std::uint8_t> encode(const Snapshot& snapshot);
+
 /**
- * Parses and fully validates a snapshot, then hands out per-section
- * read cursors.  Layer loadState() implementations read fields in
- * write order and use the require* helpers to compare against live
- * state; a mismatch throws SnapshotStateError naming the section,
- * field, and both values.
+ * Parses an image, checking in order: the minimum size, both magics,
+ * the whole-file CRC, the version, then the exact size.
+ * @throws SnapshotFormatError on any defect.
  */
-class SnapshotReader {
-  public:
-    /** Reads and validates @p path (magic, version, section table,
-     *  per-section and whole-file CRCs).
-     *  @throws SnapshotFormatError on any structural defect. */
-    static SnapshotReader fromFile(const std::string& path);
+Snapshot decode(const std::vector<std::uint8_t>& bytes);
 
-    /** Same, from an in-memory image (tests, fuzzing). */
-    static SnapshotReader fromBytes(std::vector<std::uint8_t> bytes);
+/**
+ * Atomically writes @p snapshot to @p path: the bytes go to
+ * "<path>.tmp", which is flushed, closed, and renamed over @p path,
+ * so a crash mid-write never leaves a half-written file under the
+ * final name.  @throws SnapshotError on I/O failure.
+ */
+void writeFile(const std::string& path, const Snapshot& snapshot);
 
-    const SnapshotMeta& meta() const { return meta_; }
-
-    bool hasSection(SectionId id) const;
-    /** Section ids present, in file order. */
-    const std::vector<SectionId>& sections() const { return order_; }
-
-    /** Positions the read cursor at the start of section @p id;
-     *  throws SnapshotFormatError when absent. */
-    void openSection(SectionId id);
-    /** Asserts the open section was fully consumed. */
-    void closeSection();
-
-    std::uint8_t getU8(const char* field);
-    std::uint32_t getU32(const char* field);
-    std::uint64_t getU64(const char* field);
-    std::int64_t getI64(const char* field);
-    double getF64(const char* field);
-    bool getBool(const char* field);
-    std::string getString(const char* field);
-
-    // Validation helpers: read the stored value and require it to
-    // equal @p live, else throw SnapshotStateError.
-    void requireU64(const char* field, std::uint64_t live);
-    void requireU32(const char* field, std::uint32_t live);
-    void requireI64(const char* field, std::int64_t live);
-    /** Bitwise comparison (floating-point state must replay to the
-     *  exact same representation). */
-    void requireF64(const char* field, double live);
-    void requireBool(const char* field, bool live);
-    void requireString(const char* field, std::string_view live);
-
-  private:
-    struct SectionView {
-        std::size_t offset = 0;
-        std::size_t length = 0;
-    };
-
-    SnapshotReader() = default;
-    void parse();
-    const std::uint8_t* need(const char* field, std::size_t bytes);
-    [[noreturn]] void mismatch(const char* field,
-                               const std::string& stored,
-                               const std::string& live) const;
-
-    std::vector<std::uint8_t> bytes_;
-    SnapshotMeta meta_;
-    std::map<SectionId, SectionView> sectionsById_;
-    std::vector<SectionId> order_;
-
-    SectionId current_ = SectionId::Engine;
-    bool sectionOpen_ = false;
-    std::size_t cursor_ = 0;
-    std::size_t end_ = 0;
-};
+/** Reads and decodes @p path.  @throws SnapshotError when the file
+ *  cannot be read, SnapshotFormatError (prefixed with the path) when
+ *  it does not decode. */
+Snapshot readFile(const std::string& path);
 
 }  // namespace snapshot
 }  // namespace uqsim

@@ -3,18 +3,15 @@
 
 /**
  * @file
- * Shared helpers for layer saveState()/loadState() implementations.
+ * Shared helper for layer foldState() implementations.
  *
  * Every stateful layer owns one or more xoshiro256++ streams whose
  * position must be pinned by a snapshot: a replayed run that drew one
  * sample more or less than the original would diverge from the first
- * post-restore event.  These helpers serialize the full generator
- * state (four state words plus the Gaussian carry) verbatim, so a
- * divergence points at the exact stream rather than only showing up
- * later in the trace digest.
+ * post-restore event.  Folding the full generator state (four state
+ * words plus the Gaussian carry) makes that divergence show in the
+ * owning layer's fold rather than only later in the trace digest.
  */
-
-#include <string>
 
 #include "uqsim/random/rng.h"
 #include "uqsim/snapshot/snapshot.h"
@@ -22,34 +19,7 @@
 namespace uqsim {
 namespace snapshot {
 
-/** Writes an RNG's full state into the open section. */
-inline void
-putRngState(SnapshotWriter& writer, const random::Rng::State& state)
-{
-    for (int i = 0; i < 4; ++i)
-        writer.putU64(state.words[i]);
-    writer.putBool(state.hasSpareGaussian);
-    writer.putF64(state.spareGaussian);
-}
-
-/** Validates a live RNG's state against putRngState()'s fields;
- *  @p name prefixes the field names in error messages. */
-inline void
-requireRngState(SnapshotReader& reader, const std::string& name,
-                const random::Rng::State& state)
-{
-    for (int i = 0; i < 4; ++i) {
-        const std::string field =
-            name + ".word" + std::to_string(i);
-        reader.requireU64(field.c_str(), state.words[i]);
-    }
-    reader.requireBool((name + ".has_spare_gaussian").c_str(),
-                       state.hasSpareGaussian);
-    reader.requireF64((name + ".spare_gaussian").c_str(),
-                      state.spareGaussian);
-}
-
-/** Folds an RNG's full state into a collection digest. */
+/** Folds an RNG's full state into @p digest. */
 inline void
 digestRngState(Digest& digest, const random::Rng::State& state)
 {

@@ -108,70 +108,30 @@ Client::start()
 }
 
 void
-Client::saveState(snapshot::SnapshotWriter& writer) const
+Client::foldState(snapshot::Digest& digest) const
 {
-    writer.putU64(generated_);
-    writer.putU64(timeouts_);
-    writer.putU64(errors_);
-    writer.putU64(retriesIssued_);
-    writer.putU64(cursor_);
-    snapshot::putRngState(writer, rng_.state());
+    digest.u64(generated_);
+    digest.u64(timeouts_);
+    digest.u64(errors_);
+    digest.u64(retriesIssued_);
+    digest.u64(cursor_);
+    snapshot::digestRngState(digest, rng_.state());
     // Outstanding requests in JobId order: id, endpoint, retry
     // budget, and whether the timeout event is still pending.  The
     // handles themselves replay; the fold pins that the same requests
     // are in flight with the same budgets.
-    writer.putU64(outstanding_.size());
-    snapshot::Digest out;
+    digest.u64(outstanding_.size());
     for (const auto& [root, state] : outstanding_) {
-        out.u64(root);
-        out.u64(state.endpoint);
-        out.i64(state.retriesLeft);
-        out.boolean(state.timeout.pending());
+        digest.u64(root);
+        digest.u64(state.endpoint);
+        digest.i64(state.retriesLeft);
+        digest.boolean(state.timeout.pending());
     }
-    writer.putU64(out.value());
-    writer.putU64(closedLoopEndpoints_.size());
-    snapshot::Digest closed;
+    digest.u64(closedLoopEndpoints_.size());
     for (const auto& [root, endpoint] : closedLoopEndpoints_) {
-        closed.u64(root);
-        closed.u64(endpoint);
+        digest.u64(root);
+        digest.u64(endpoint);
     }
-    writer.putU64(closed.value());
-}
-
-void
-Client::loadState(snapshot::SnapshotReader& reader,
-                  const std::string& name) const
-{
-    const auto field = [&name](const char* suffix) {
-        return name + "." + suffix;
-    };
-    reader.requireU64(field("generated").c_str(), generated_);
-    reader.requireU64(field("timeouts").c_str(), timeouts_);
-    reader.requireU64(field("errors").c_str(), errors_);
-    reader.requireU64(field("retries_issued").c_str(),
-                      retriesIssued_);
-    reader.requireU64(field("cursor").c_str(), cursor_);
-    snapshot::requireRngState(reader, field("rng"), rng_.state());
-    reader.requireU64(field("outstanding").c_str(),
-                      outstanding_.size());
-    snapshot::Digest out;
-    for (const auto& [root, state] : outstanding_) {
-        out.u64(root);
-        out.u64(state.endpoint);
-        out.i64(state.retriesLeft);
-        out.boolean(state.timeout.pending());
-    }
-    reader.requireU64(field("outstanding_digest").c_str(),
-                      out.value());
-    reader.requireU64(field("closed_loop").c_str(),
-                      closedLoopEndpoints_.size());
-    snapshot::Digest closed;
-    for (const auto& [root, endpoint] : closedLoopEndpoints_) {
-        closed.u64(root);
-        closed.u64(endpoint);
-    }
-    reader.requireU64(field("closed_loop_digest").c_str(),
-                      closed.value());
 }
 
 void

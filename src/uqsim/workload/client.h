@@ -24,8 +24,7 @@
 namespace uqsim {
 
 namespace snapshot {
-class SnapshotWriter;
-class SnapshotReader;
+class Digest;
 }  // namespace snapshot
 
 namespace workload {
@@ -138,16 +137,11 @@ class Client {
     double currentOfferedLoad() const;
 
     /**
-     * Serializes this client's state into the open snapshot section:
-     * counters, arrival cursor, RNG position, and deterministic folds
-     * of the outstanding-request and closed-loop maps.
+     * Folds this client into the CLIENTS layer: counters, arrival
+     * cursor, RNG position, then the outstanding-request and
+     * closed-loop maps in JobId order.
      */
-    void saveState(snapshot::SnapshotWriter& writer) const;
-
-    /** Validates the live (replayed) state against saveState()'s
-     *  fields; @p name prefixes field names in error messages. */
-    void loadState(snapshot::SnapshotReader& reader,
-                   const std::string& name) const;
+    void foldState(snapshot::Digest& digest) const;
 
     /**
      * Re-derives the arrival RNG from a different master seed

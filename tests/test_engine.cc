@@ -442,16 +442,14 @@ TEST(EventQueue, MoveOnlyActionsAreSupported)
 
 // ------------------------------------------------------------- re-keying
 
-/** The queue's ENGINE snapshot fields (sequence counter, sizes,
- *  pending and generation digests) as assembled bytes. */
-std::vector<std::uint8_t>
+/** The queue's part of the ENGINE snapshot fold (sequence counter,
+ *  sizes, pending events, slot generations). */
+std::uint64_t
 engineSection(const EventQueue& queue)
 {
-    snapshot::SnapshotWriter writer;
-    writer.beginSection(snapshot::SectionId::Engine);
-    queue.saveState(writer);
-    writer.endSection();
-    return writer.assemble();
+    snapshot::Digest digest;
+    queue.foldState(digest);
+    return digest.value();
 }
 
 TEST(EventQueue, RekeyMatchesCancelPlusSchedule)
@@ -556,7 +554,7 @@ TEST(EventQueue, RekeyOfDeadHandlesChangesNothing)
     queue.pop().invoke();
     ASSERT_TRUE(cancelled.cancel());
     EventHandle none;
-    const std::vector<std::uint8_t> before = engineSection(queue);
+    const std::uint64_t before = engineSection(queue);
     EXPECT_FALSE(queue.rekey(fired, 10));
     EXPECT_FALSE(queue.rekey(cancelled, 10));
     EXPECT_FALSE(queue.rekey(none, 10));
@@ -686,7 +684,7 @@ TEST(Simulator, RekeyIntoThePastThrowsAndChangesNothing)
     sim.run(15);
     ASSERT_EQ(sim.now(), 15);
     const std::uint64_t scheduled = sim.queue().scheduledCount();
-    const std::vector<std::uint8_t> before = engineSection(sim.queue());
+    const std::uint64_t before = engineSection(sim.queue());
     EXPECT_THROW(sim.rekeyAt(later, 14), std::logic_error);
     EXPECT_TRUE(later.pending());
     EXPECT_EQ(sim.queue().scheduledCount(), scheduled);

@@ -1,8 +1,8 @@
 /**
  * @file
  * Tests for the checkpoint/restore subsystem: the
- * `uqsim-snapshot-v1` binary format (strict validation: truncation,
- * bit flips, version/section gating, field-level mismatches), the
+ * `uqsim-snapshot-v2` binary format (strict validation: truncation,
+ * bit flips, version and size gating, layer-fold mismatches), the
  * segmented-run determinism contract (checkpoint placement is
  * invisible to the event stream), replay-validated restore under
  * faults / FlowModel routing / disk I/O, crash recovery
@@ -12,6 +12,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <cstdio>
 #include <filesystem>
@@ -36,11 +37,10 @@ namespace fs = std::filesystem;
 
 using json::JsonArray;
 using json::JsonValue;
-using snapshot::SectionId;
+using snapshot::Layer;
+using snapshot::Snapshot;
 using snapshot::SnapshotFormatError;
-using snapshot::SnapshotReader;
 using snapshot::SnapshotStateError;
-using snapshot::SnapshotWriter;
 
 /** Unique-ish temp dir per test (ctest runs tests in parallel). */
 std::string
@@ -138,31 +138,56 @@ straightThroughDigest(const std::function<std::unique_ptr<Simulation>()>&
     return simulation->sim().traceDigest();
 }
 
-/** A small but representative snapshot image for format tests. */
-std::vector<std::uint8_t>
-sampleImage()
+/** A snapshot with distinct values in every field. */
+Snapshot
+sampleSnapshot()
 {
-    SnapshotWriter writer;
-    snapshot::SnapshotMeta meta;
-    meta.configDigest = 0x1111111111111111ULL;
-    meta.masterSeed = 7;
-    meta.simTime = 1234567;
-    meta.executedEvents = 89;
-    meta.traceDigest = 0x2222222222222222ULL;
-    writer.setMeta(meta);
-    writer.beginSection(SectionId::Engine);
-    writer.putU64(42);
-    writer.putU32(17);
-    writer.putI64(-5);
-    writer.putF64(3.25);
-    writer.putBool(true);
-    writer.putString("hello");
-    writer.putU8(9);
-    writer.endSection();
-    writer.beginSection(SectionId::Stats);
-    writer.putU64(99);
-    writer.endSection();
-    return writer.assemble();
+    Snapshot sample;
+    sample.meta.configDigest = 0x1111111111111111ULL;
+    sample.meta.masterSeed = 7;
+    sample.meta.simTime = 1234567;
+    sample.meta.executedEvents = 89;
+    sample.meta.traceDigest = 0x2222222222222222ULL;
+    for (std::size_t i = 0; i < snapshot::kLayerCount; ++i)
+        sample.folds[i] = 0xF0F0F0F000000000ULL + i;
+    return sample;
+}
+
+/** Rewrites the whole-file CRC so only the deeper gates can reject
+ *  an edited image. */
+void
+reseal(std::vector<std::uint8_t>& image)
+{
+    const std::size_t body = image.size() - 16;
+    const std::uint64_t crc = snapshot::crc64(image.data(), body);
+    for (int i = 0; i < 8; ++i)
+        image[body + i] =
+            static_cast<std::uint8_t>((crc >> (8 * i)) & 0xFF);
+}
+
+void
+putLe(std::vector<std::uint8_t>& out, std::uint64_t value, int bytes)
+{
+    for (int i = 0; i < bytes; ++i)
+        out.push_back(static_cast<std::uint8_t>(value >> (8 * i)));
+}
+
+std::vector<std::uint8_t>
+readBytes(const std::string& path)
+{
+    std::ifstream in(path, std::ios::binary);
+    return std::vector<std::uint8_t>(
+        (std::istreambuf_iterator<char>(in)),
+        std::istreambuf_iterator<char>());
+}
+
+void
+writeBytes(const std::string& path,
+           const std::vector<std::uint8_t>& bytes)
+{
+    std::ofstream out(path, std::ios::binary | std::ios::trunc);
+    out.write(reinterpret_cast<const char*>(bytes.data()),
+              static_cast<std::streamsize>(bytes.size()));
 }
 
 // ---------------------------------------------------------------------
@@ -170,33 +195,19 @@ sampleImage()
 
 TEST(SnapshotFormat, RoundTripsMetaScalarsAndStrings)
 {
-    SnapshotReader reader = SnapshotReader::fromBytes(sampleImage());
+    const Snapshot sample = sampleSnapshot();
+    const std::vector<std::uint8_t> image = snapshot::encode(sample);
+    ASSERT_EQ(image.size(), snapshot::kSnapshotSize);
+    const Snapshot decoded = snapshot::decode(image);
 
-    EXPECT_EQ(reader.meta().configDigest, 0x1111111111111111ULL);
-    EXPECT_EQ(reader.meta().masterSeed, 7u);
-    EXPECT_EQ(reader.meta().simTime, 1234567);
-    EXPECT_EQ(reader.meta().executedEvents, 89u);
-    EXPECT_EQ(reader.meta().traceDigest, 0x2222222222222222ULL);
-
-    ASSERT_EQ(reader.sections().size(), 2u);
-    EXPECT_EQ(reader.sections()[0], SectionId::Engine);
-    EXPECT_EQ(reader.sections()[1], SectionId::Stats);
-    EXPECT_TRUE(reader.hasSection(SectionId::Engine));
-    EXPECT_FALSE(reader.hasSection(SectionId::Disks));
-
-    reader.openSection(SectionId::Engine);
-    EXPECT_EQ(reader.getU64("a"), 42u);
-    EXPECT_EQ(reader.getU32("b"), 17u);
-    EXPECT_EQ(reader.getI64("c"), -5);
-    EXPECT_EQ(reader.getF64("d"), 3.25);
-    EXPECT_TRUE(reader.getBool("e"));
-    EXPECT_EQ(reader.getString("f"), "hello");
-    EXPECT_EQ(reader.getU8("g"), 9u);
-    reader.closeSection();
-
-    reader.openSection(SectionId::Stats);
-    EXPECT_NO_THROW(reader.requireU64("x", 99));
-    reader.closeSection();
+    EXPECT_EQ(decoded.meta.configDigest, 0x1111111111111111ULL);
+    EXPECT_EQ(decoded.meta.masterSeed, 7u);
+    EXPECT_EQ(decoded.meta.simTime, 1234567);
+    EXPECT_EQ(decoded.meta.executedEvents, 89u);
+    EXPECT_EQ(decoded.meta.traceDigest, 0x2222222222222222ULL);
+    EXPECT_EQ(decoded.folds, sample.folds);
+    EXPECT_STREQ(snapshot::layerName(Layer::Engine), "ENGINE");
+    EXPECT_STREQ(snapshot::layerName(Layer::Stats), "STATS");
 }
 
 TEST(SnapshotFormat, FileRoundTripIsAtomicAndByteIdentical)
@@ -206,142 +217,173 @@ TEST(SnapshotFormat, FileRoundTripIsAtomicAndByteIdentical)
     fs::create_directories(dir);
     const std::string path = dir + "/sample.uqsnap";
 
-    SnapshotWriter writer;
-    writer.beginSection(SectionId::Engine);
-    writer.putU64(1);
-    writer.endSection();
-    writer.writeFile(path);
+    const Snapshot sample = sampleSnapshot();
+    snapshot::writeFile(path, sample);
 
     // The atomic rename must not leave the temporary behind.
     EXPECT_FALSE(fs::exists(path + ".tmp"));
-
-    std::ifstream in(path, std::ios::binary);
-    std::vector<std::uint8_t> on_disk(
-        (std::istreambuf_iterator<char>(in)),
-        std::istreambuf_iterator<char>());
-    EXPECT_EQ(on_disk, writer.assemble());
-
-    SnapshotReader reader = SnapshotReader::fromFile(path);
-    reader.openSection(SectionId::Engine);
-    EXPECT_EQ(reader.getU64("v"), 1u);
-    reader.closeSection();
-}
-
-TEST(SnapshotFormat, RequireMismatchNamesSectionFieldAndBothValues)
-{
-    SnapshotReader reader = SnapshotReader::fromBytes(sampleImage());
-    reader.openSection(SectionId::Engine);
-    try {
-        reader.requireU64("answer", 43);
-        FAIL() << "mismatch not detected";
-    } catch (const SnapshotStateError& error) {
-        const std::string what = error.what();
-        EXPECT_NE(what.find("ENGINE"), std::string::npos) << what;
-        EXPECT_NE(what.find("answer"), std::string::npos) << what;
-        EXPECT_NE(what.find("42"), std::string::npos) << what;
-        EXPECT_NE(what.find("43"), std::string::npos) << what;
-    }
+    EXPECT_EQ(readBytes(path), snapshot::encode(sample));
+    EXPECT_EQ(snapshot::readFile(path).folds, sample.folds);
 }
 
 TEST(SnapshotFormat, TruncationAtAnyPointIsRejected)
 {
-    const std::vector<std::uint8_t> image = sampleImage();
+    const std::vector<std::uint8_t> image =
+        snapshot::encode(sampleSnapshot());
     for (std::size_t size : {std::size_t(0), std::size_t(8),
                              image.size() / 2, image.size() - 1,
                              image.size() - 8}) {
         std::vector<std::uint8_t> cut(image.begin(),
                                       image.begin() + size);
-        EXPECT_THROW(SnapshotReader::fromBytes(std::move(cut)),
-                     SnapshotFormatError)
+        EXPECT_THROW(snapshot::decode(cut), SnapshotFormatError)
             << "size " << size;
     }
 }
 
 TEST(SnapshotFormat, EveryByteFlipIsRejected)
 {
-    const std::vector<std::uint8_t> image = sampleImage();
+    const std::vector<std::uint8_t> image =
+        snapshot::encode(sampleSnapshot());
     // The whole-file CRC (or, for footer bytes, the magic / CRC
     // fields themselves) must catch a flip anywhere in the file.
     for (std::size_t i = 0; i < image.size(); ++i) {
         std::vector<std::uint8_t> corrupt = image;
         corrupt[i] ^= 0x01;
-        EXPECT_THROW(SnapshotReader::fromBytes(std::move(corrupt)),
-                     SnapshotFormatError)
+        EXPECT_THROW(snapshot::decode(corrupt), SnapshotFormatError)
             << "byte " << i;
     }
 }
 
 TEST(SnapshotFormat, UnsupportedVersionIsRejected)
 {
-    std::vector<std::uint8_t> image = sampleImage();
+    std::vector<std::uint8_t> image =
+        snapshot::encode(sampleSnapshot());
     // Bump the version field (LE u32 at offset 8) and re-seal the
     // whole-file CRC so the version gate itself is what trips.
     image[8] += 1;
-    const std::size_t body = image.size() - 16;
-    const std::uint64_t crc = snapshot::crc64(image.data(), body);
-    for (int i = 0; i < 8; ++i)
-        image[body + i] =
-            static_cast<std::uint8_t>((crc >> (8 * i)) & 0xFF);
+    reseal(image);
     try {
-        SnapshotReader::fromBytes(std::move(image));
+        snapshot::decode(image);
         FAIL() << "version gate missing";
     } catch (const SnapshotFormatError& error) {
-        EXPECT_NE(std::string(error.what()).find("version"),
+        EXPECT_NE(std::string(error.what()).find("version 3"),
                   std::string::npos)
             << error.what();
     }
 }
 
-TEST(SnapshotFormat, UnknownSectionIdIsRejected)
+TEST(SnapshotFormat, WrongSizeIsRejected)
 {
-    SnapshotWriter writer;
-    writer.beginSection(static_cast<SectionId>(42));
-    writer.putU64(1);
-    writer.endSection();
-    EXPECT_THROW(SnapshotReader::fromBytes(writer.assemble()),
-                 SnapshotFormatError);
+    const std::vector<std::uint8_t> image =
+        snapshot::encode(sampleSnapshot());
+    const std::vector<std::uint8_t> footer(image.end() - 16,
+                                           image.end());
+    // Drop or add one fold's worth of bytes before the footer, then
+    // re-seal, so only the exact-size gate can reject the file.
+    for (const int delta : {-8, 8}) {
+        std::vector<std::uint8_t> resized(
+            image.begin(), image.end() - 16 + std::min(delta, 0));
+        resized.resize(resized.size() + std::max(delta, 0), 0xAB);
+        resized.insert(resized.end(), footer.begin(), footer.end());
+        reseal(resized);
+        try {
+            snapshot::decode(resized);
+            FAIL() << "size gate missing for delta " << delta;
+        } catch (const SnapshotFormatError& error) {
+            const std::string what = error.what();
+            EXPECT_NE(what.find(std::to_string(resized.size()) +
+                                " bytes"),
+                      std::string::npos)
+                << what;
+        }
+    }
 }
 
-TEST(SnapshotFormat, DuplicateSectionIdIsRejectedAtWrite)
+TEST(SnapshotFormat, VersionOneFileNamesBothVersions)
 {
-    SnapshotWriter writer;
-    writer.beginSection(SectionId::Engine);
-    writer.endSection();
-    EXPECT_THROW(writer.beginSection(SectionId::Engine),
-                 std::logic_error);
+    DirJanitor janitor;
+    const std::string dir = janitor.track(tempDir("v1"));
+    fs::create_directories(dir);
+    // A well-formed uqsim-snapshot-v1 image: 56-byte header (version
+    // 1, one section), one 32-byte table entry with a valid payload
+    // CRC, the payload, and a valid whole-file footer.
+    const std::vector<std::uint8_t> payload = {1, 2, 3, 4, 5, 6, 7, 8};
+    std::vector<std::uint8_t> image(snapshot::kMagic,
+                                    snapshot::kMagic + 8);
+    putLe(image, 1, 4);  // version
+    putLe(image, 1, 4);  // section_count
+    for (int i = 0; i < 5; ++i)
+        putLe(image, 100 + i, 8);  // replay coordinates
+    putLe(image, 1, 4);            // section id ENGINE
+    putLe(image, 0, 4);            // flags
+    putLe(image, 56 + 32, 8);      // offset
+    putLe(image, payload.size(), 8);
+    putLe(image, snapshot::crc64(payload.data(), payload.size()), 8);
+    image.insert(image.end(), payload.begin(), payload.end());
+    putLe(image, snapshot::crc64(image.data(), image.size()), 8);
+    image.insert(image.end(), snapshot::kFooterMagic,
+                 snapshot::kFooterMagic + 8);
+    const std::string path = dir + "/job-e105.uqsnap";
+    writeBytes(path, image);
+
+    try {
+        snapshot::readFile(path);
+        FAIL() << "a version-1 file decoded";
+    } catch (const SnapshotFormatError& error) {
+        const std::string what = error.what();
+        EXPECT_NE(what.find("version 1"), std::string::npos) << what;
+        EXPECT_NE(what.find("version 2"), std::string::npos) << what;
+    }
+    // The resume scan skips it, so its job runs fresh.
+    EXPECT_FALSE(snapshot::newestValidSnapshot(dir, "job").has_value());
 }
 
-TEST(SnapshotFormat, UnreadTrailingBytesAreRejected)
+TEST(SnapshotFormat, LayerMismatchNamesTheLayerAndBothValues)
 {
-    SnapshotWriter writer;
-    writer.beginSection(SectionId::Engine);
-    writer.putU64(1);
-    writer.putU64(2);
-    writer.endSection();
-    SnapshotReader reader =
-        SnapshotReader::fromBytes(writer.assemble());
-    reader.openSection(SectionId::Engine);
-    reader.getU64("first");
-    EXPECT_THROW(reader.closeSection(), SnapshotFormatError);
-}
+    DirJanitor janitor;
+    const std::string dir = janitor.track(tempDir("layers"));
+    const auto factory = [] {
+        return Simulation::fromBundle(faultyBundle(7));
+    };
+    auto checkpointed = factory();
+    checkpointed->advanceToTime(secondsToSimTime(0.5));
+    const std::vector<std::uint8_t> image =
+        readBytes(snapshot::writeCheckpoint(*checkpointed, dir, "ok"));
+    ASSERT_EQ(image.size(), snapshot::kSnapshotSize);
+    const Snapshot original = snapshot::decode(image);
 
-TEST(SnapshotFormat, FieldReadPastSectionEndIsRejected)
-{
-    SnapshotWriter writer;
-    writer.beginSection(SectionId::Engine);
-    writer.putU32(1);
-    writer.endSection();
-    SnapshotReader reader =
-        SnapshotReader::fromBytes(writer.assemble());
-    reader.openSection(SectionId::Engine);
-    EXPECT_THROW(reader.getU64("too_wide"), SnapshotFormatError);
-}
+    // Flip one bit of each fold in turn: restore replays cleanly
+    // (the trace digest still matches) and must then name exactly
+    // that layer, with the stored and the live fold.
+    for (std::size_t i = 0; i < snapshot::kLayerCount; ++i) {
+        const std::size_t offset = 56 + 8 * i;
+        std::vector<std::uint8_t> edited = image;
+        edited[offset] ^= 0x01;
+        reseal(edited);
+        const Snapshot stored = snapshot::decode(edited);
+        const std::string path =
+            dir + "/flip" + std::to_string(i) + ".uqsnap";
+        writeBytes(path, edited);
 
-TEST(SnapshotFormat, MissingSectionIsRejected)
-{
-    SnapshotReader reader = SnapshotReader::fromBytes(sampleImage());
-    EXPECT_THROW(reader.openSection(SectionId::Faults),
-                 SnapshotFormatError);
+        auto restored = factory();
+        try {
+            snapshot::restoreFromSnapshot(*restored, path);
+            FAIL() << "layer " << i << " was not compared";
+        } catch (const SnapshotStateError& error) {
+            const std::string what = error.what();
+            const std::string layer =
+                snapshot::layerName(static_cast<Layer>(i));
+            EXPECT_NE(what.find("in the " + layer + " layer"),
+                      std::string::npos)
+                << what;
+            EXPECT_NE(what.find(snapshot::hex(stored.folds[i])),
+                      std::string::npos)
+                << what;
+            EXPECT_NE(what.find(snapshot::hex(original.folds[i])),
+                      std::string::npos)
+                << what;
+        }
+    }
 }
 
 // ---------------------------------------------------------------------
@@ -668,6 +710,7 @@ TEST(CheckpointRunner, DigestsInvariantAcrossJobsAndSnapshotResume)
     };
     const std::vector<double> loads = {800.0, 1400.0};
 
+    int resumes = -1;
     const auto digestsOf =
         [&](int jobs, bool checkpoint,
             bool resume) -> std::vector<std::uint64_t> {
@@ -689,6 +732,7 @@ TEST(CheckpointRunner, DigestsInvariantAcrossJobsAndSnapshotResume)
                     EXPECT_TRUE(rep.ok()) << rep.error;
                     digests.push_back(rep.traceDigest);
                 }
+        resumes = sweep.snapshotResumes();
         return digests;
     };
 
@@ -700,6 +744,9 @@ TEST(CheckpointRunner, DigestsInvariantAcrossJobsAndSnapshotResume)
     // Resume from the snapshots the previous runs left behind:
     // restore replays to the pin and continues bit-identically.
     EXPECT_EQ(digestsOf(2, true, true), baseline);
+    // A failed restore also falls back to a fresh run with the same
+    // digests; the resume count shows that every job did restore.
+    EXPECT_EQ(resumes, 4);
 }
 
 // ---------------------------------------------------------------------

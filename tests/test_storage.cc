@@ -249,10 +249,10 @@ TEST(Disk, WriteNeverReschedulesInFlightReads)
     EXPECT_EQ(reshares, 2u);
 }
 
-/** The DISKS snapshot section counts next_op_id in submissions and
- *  folds each queued operation under the id FIFO admission will give
- *  it, with every byte left, so checkpoints keep one meaning whether
- *  ids are handed out on submission or on admission. */
+/** The DISKS fold counts next_op_id in submissions and folds each
+ *  queued operation under the id FIFO admission will give it, with
+ *  every byte left, so a fold keeps one meaning whether ids are
+ *  handed out on submission or on admission. */
 TEST(Disk, SnapshotNamesQueuedOpsInSubmissionOrder)
 {
     Simulator sim(1);
@@ -261,26 +261,23 @@ TEST(Disk, SnapshotNamesQueuedOpsInSubmissionOrder)
     for (int i = 0; i < 3; ++i)
         disk.submit(hw::Disk::OpKind::Read, bytes, 0.0, [] {}, "op/r");
 
-    snapshot::SnapshotWriter writer;
-    writer.beginSection(snapshot::SectionId::Disks);
-    disk.saveState(writer);
-    writer.endSection();
-    snapshot::SnapshotReader reader =
-        snapshot::SnapshotReader::fromBytes(writer.assemble());
-    reader.openSection(snapshot::SectionId::Disks);
-    reader.getString("label");
-    for (const char* field :
-         {"submitted", "reads_completed", "writes_completed",
-          "bytes_read", "bytes_written", "queued_ops", "peak_queued",
-          "reshares"})
-        reader.getU64(field);
-    EXPECT_EQ(reader.getU64("next_op_id"), 3u);
-    reader.getI64("last_update");
-    reader.getF64("busy_ticks");
-    EXPECT_EQ(reader.getU64("in_service"), 1u);
-    EXPECT_EQ(reader.getU64("waiting"), 2u);
-    // Op 0 reads alone at full bandwidth; ops 1 and 2 wait unstarted.
+    snapshot::Digest live;
+    disk.foldState(live);
+
     snapshot::Digest expected;
+    expected.str(disk.label());
+    expected.u64(3);  // submitted
+    for (int i = 0; i < 4; ++i)
+        expected.u64(0);  // reads/writes completed, bytes read/written
+    expected.u64(2);      // queued_ops
+    expected.u64(2);      // peak_queued
+    expected.u64(disk.reshareCount());
+    expected.u64(3);    // next_op_id
+    expected.i64(0);    // last_update
+    expected.f64(0.0);  // busy_ticks
+    expected.u64(1);    // in service
+    expected.u64(2);    // waiting
+    // Op 0 reads alone at full bandwidth; ops 1 and 2 wait unstarted.
     for (std::uint64_t id = 0; id < 3; ++id) {
         expected.u64(id);
         expected.u32(0);  // read head
@@ -290,8 +287,7 @@ TEST(Disk, SnapshotNamesQueuedOpsInSubmissionOrder)
         expected.f64(0.0);
         expected.str("op/r");
     }
-    EXPECT_EQ(reader.getU64("op_digest"), expected.value());
-    reader.closeSection();
+    EXPECT_EQ(live.value(), expected.value());
 }
 
 TEST(Disk, RejectsNonPositiveReadBandwidth)
