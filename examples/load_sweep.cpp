@@ -24,8 +24,12 @@
  * journal; --resume skips jobs an earlier journal already recorded
  * ok and re-runs only failed/missing ones; --strict restores the
  * legacy fail-fast behaviour (first error aborts the sweep); the
- * watchdog flags kill stalled or runaway replications and report
- * them as timeouts.
+ * limit flags kill runaway or stalled replications and report them
+ * as timeouts.  Each limit is checked between events, at most 1,024
+ * events apart: --max-events N caps the executed events,
+ * --wall-timeout S the wall time from the replication's first event,
+ * and --stall-timeout S the wall time the simulated clock may stand
+ * still.  A malformed limit value exits 1.
  *
  * Checkpoint flags (docs/ARCHITECTURE.md §"Checkpoint / restore"):
  * --checkpoint-every N writes a snapshot of every in-flight
@@ -54,6 +58,7 @@
 #include <string>
 #include <vector>
 
+#include "limit_flags.h"
 #include "uqsim/json/validation.h"
 #include "uqsim/models/applications.h"
 #include "uqsim/runner/sweep_runner.h"
@@ -170,15 +175,8 @@ main(int argc, char** argv)
             options.resumePath = next_value();
         } else if (arg == "--strict") {
             options.failurePolicy = runner::FailurePolicy::Propagate;
-        } else if (arg == "--wall-timeout") {
-            options.watchdog.wallTimeoutSeconds =
-                std::atof(next_value());
-        } else if (arg == "--stall-timeout") {
-            options.watchdog.stallWindowSeconds =
-                std::atof(next_value());
-        } else if (arg == "--max-events") {
-            options.watchdog.maxEventsPerReplication =
-                static_cast<std::uint64_t>(std::atoll(next_value()));
+        } else if (isLimitFlag(arg)) {
+            parseLimitFlag(arg, next_value(), options.limits);
         } else if (arg == "--checkpoint-every") {
             options.checkpoint.everyEvents =
                 static_cast<std::uint64_t>(std::atoll(next_value()));

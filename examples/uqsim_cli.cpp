@@ -20,10 +20,14 @@
  * The robustness flags apply to replicated runs (--reps > 1): a
  * failed replication is classified, journaled (--journal), and
  * salvaged around unless --strict asks for fail-fast; --resume skips
- * replications an earlier journal recorded ok; the watchdog limits
- * kill stalled or runaway replications (reported as timeouts).  Exit
- * status 2 marks a salvaged run with failures; 1 means no usable
- * result at all.
+ * replications an earlier journal recorded ok; the limit flags kill
+ * runaway or stalled replications (reported as timeouts).  Each
+ * limit is checked between events, at most 1,024 events apart:
+ * --max-events N caps the executed events, --wall-timeout S the wall
+ * time from the replication's first event, and --stall-timeout S
+ * the wall time the simulated clock may stand still.  Exit status 2
+ * marks a salvaged run with failures; 1 means no usable result at
+ * all, or a malformed limit value.
  *
  * Unknown flags and unknown JSON keys both fail with exit code 1 and
  * a did-you-mean suggestion; a typoed option must never silently
@@ -37,6 +41,7 @@
 #include <string>
 #include <vector>
 
+#include "limit_flags.h"
 #include "uqsim/core/sim/simulation.h"
 #include "uqsim/json/validation.h"
 #include "uqsim/runner/sweep_runner.h"
@@ -93,7 +98,7 @@ main(int argc, char** argv)
     int reps = 1, jobs = 0;
     bool strict = false;
     std::string journal_path, resume_path;
-    runner::WatchdogLimits watchdog;
+    RunLimits limits;
     for (int i = 2; i < argc; ++i) {
         const std::string arg = argv[i];
         auto next_value = [&]() -> const char* {
@@ -125,13 +130,8 @@ main(int argc, char** argv)
             resume_path = next_value();
         } else if (arg == "--strict") {
             strict = true;
-        } else if (arg == "--wall-timeout") {
-            watchdog.wallTimeoutSeconds = std::atof(next_value());
-        } else if (arg == "--stall-timeout") {
-            watchdog.stallWindowSeconds = std::atof(next_value());
-        } else if (arg == "--max-events") {
-            watchdog.maxEventsPerReplication =
-                static_cast<std::uint64_t>(std::atoll(next_value()));
+        } else if (isLimitFlag(arg)) {
+            parseLimitFlag(arg, next_value(), limits);
         } else {
             return rejectUnknownFlag(argv[0], arg);
         }
@@ -194,7 +194,7 @@ main(int argc, char** argv)
                                     : runner::FailurePolicy::Isolate;
         options.journalPath = journal_path;
         options.resumePath = resume_path;
-        options.watchdog = watchdog;
+        options.limits = limits;
         const runner::ReplicatedPoint point = runner::runReplicated(
             [&bundle](double, std::uint64_t rep_seed) {
                 ConfigBundle replicated = bundle;

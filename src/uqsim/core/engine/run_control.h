@@ -3,43 +3,53 @@
 
 /**
  * @file
- * Cooperative run control: the channel between a running Simulator
- * and an external supervisor (the SweepRunner's stall watchdog).
+ * Cooperative run control: the per-run limits a Simulator enforces
+ * between events, and an abort flag any thread may raise.
  *
- * A Simulator given a RunControl publishes progress watermarks
- * (events executed, current sim time) every few thousand events and
- * polls the abort flag at the same cadence.  A supervisor thread
- * samples the watermarks to detect stalls and runaway runs, and
- * requests termination by setting the abort flag; the simulator then
- * raises SimulationAbortError *between* events, so RAII cleanup of
- * the in-flight event has already run and the engine's pooled
- * storage stays consistent (the harness verifies this with the
- * invariant auditor before salvaging sibling replications).
+ * A Simulator given a RunControl calls poll() before the first event
+ * and then every Simulator::kControlPollEvents events.  poll() raises
+ * SimulationAbortError when an abort was requested or a limit is
+ * exhausted:
  *
- * All cross-thread traffic goes through relaxed atomics: watermarks
- * are monotone counters used only for progress detection, and the
- * abort flag is a level-triggered request, so no ordering beyond
- * atomicity is required.  A truly blocked event callback (e.g. one
- * performing host I/O that never returns) cannot be killed
- * cooperatively; the watchdog detects that case too — the event
- * watermark freezes — but termination waits until the callback
- * returns.  Process-level isolation is out of scope (documented in
- * docs/ARCHITECTURE.md §"Harness failure-handling contract").
+ *   - the event budget, which is deterministic for a given event
+ *     stream;
+ *   - the wall-clock budget, counted from the first poll, so building
+ *     the simulation is not counted;
+ *   - the stall window: the wall time since the last poll at which
+ *     the simulated clock had moved.  A zero-delay livelock and a run
+ *     that needs longer than the window to fire kControlPollEvents
+ *     events are both stalls.
+ *
+ * The error is raised *between* events, so RAII cleanup of the
+ * previous event has already run and the engine's pooled storage
+ * stays consistent (the harness verifies this with the invariant
+ * auditor before salvaging sibling replications).
+ *
+ * Only the abort flag crosses threads: one relaxed atomic holding a
+ * level-triggered request whose first reason wins.  The limits and
+ * the clock marks are read and written by the run's own thread.  A
+ * callback that never returns (e.g. host I/O that blocks forever)
+ * cannot be interrupted, because no poll runs until it returns.
+ * Process-level isolation is out of scope (docs/ARCHITECTURE.md
+ * §"Harness failure-handling contract").
  */
 
 #include <atomic>
+#include <chrono>
 #include <cstdint>
 #include <stdexcept>
 #include <string>
+
+#include "uqsim/core/engine/sim_time.h"
 
 namespace uqsim {
 
 /** Why a supervised run was aborted. */
 enum class AbortReason : int {
     None = 0,
-    /** Progress watermarks stopped advancing for the stall window. */
+    /** The simulated clock stopped moving for the stall window. */
     Stall,
-    /** The wall-clock budget for the replication was exceeded. */
+    /** The wall-clock budget for the run was exceeded. */
     WallTimeout,
     /** The executed-event budget was exceeded. */
     EventBudget,
@@ -50,9 +60,9 @@ enum class AbortReason : int {
 const char* abortReasonName(AbortReason reason);
 
 /**
- * Thrown by Simulator::run() when a supervisor aborts the run.  The
- * harness classifies it as a timeout/stall failure, never as an
- * internal error.
+ * Thrown by Simulator::run() when a run is aborted.  The harness
+ * classifies it as a timeout/stall failure, never as an internal
+ * error.
  */
 class SimulationAbortError : public std::runtime_error {
   public:
@@ -70,27 +80,25 @@ class SimulationAbortError : public std::runtime_error {
     AbortReason reason_;
 };
 
-/**
- * Shared progress/abort mailbox.  One per supervised replication;
- * the worker thread's Simulator writes watermarks and reads the
- * abort request, the watchdog thread does the reverse.
- */
+/** Per-run limits; 0 disables each. */
+struct RunLimits {
+    /** Executed-event budget, checked at poll granularity. */
+    std::uint64_t maxEvents = 0;
+    /** Wall-clock budget (seconds), counted from the first poll. */
+    double wallTimeoutSeconds = 0.0;
+    /** Wall time (seconds) the simulated clock may stand still. */
+    double stallWindowSeconds = 0.0;
+};
+
+/** Limits and abort flag of one run (see the file comment). */
 class RunControl {
   public:
-    RunControl() = default;
+    explicit RunControl(RunLimits limits = {}) : limits_(limits) {}
 
     RunControl(const RunControl&) = delete;
     RunControl& operator=(const RunControl&) = delete;
 
-    // -- worker (Simulator) side --------------------------------------
-
-    /** Publishes progress; called every control-poll interval. */
-    void
-    publish(std::uint64_t events, std::int64_t sim_time)
-    {
-        events_.store(events, std::memory_order_relaxed);
-        simTime_.store(sim_time, std::memory_order_relaxed);
-    }
+    const RunLimits& limits() const { return limits_; }
 
     /** Pending abort reason; AbortReason::None when none requested. */
     AbortReason
@@ -100,27 +108,7 @@ class RunControl {
             abort_.load(std::memory_order_relaxed));
     }
 
-    /** Event budget the simulator enforces inline; 0 = unlimited.
-     *  Checked at poll granularity, so enforcement is deterministic
-     *  for a given event stream. */
-    std::uint64_t maxEvents() const { return maxEvents_; }
-    void setMaxEvents(std::uint64_t budget) { maxEvents_ = budget; }
-
-    // -- supervisor (watchdog) side -----------------------------------
-
-    std::uint64_t
-    eventWatermark() const
-    {
-        return events_.load(std::memory_order_relaxed);
-    }
-
-    std::int64_t
-    simTimeWatermark() const
-    {
-        return simTime_.load(std::memory_order_relaxed);
-    }
-
-    /** Requests termination; the first reason wins. */
+    /** Requests termination from any thread; the first reason wins. */
     void
     requestAbort(AbortReason reason)
     {
@@ -130,12 +118,28 @@ class RunControl {
                                        std::memory_order_relaxed);
     }
 
+    /**
+     * Checks the abort flag and every limit after @p events executed
+     * events with the clock at @p now; throws SimulationAbortError
+     * (and records the reason) when the run must stop.  Called by the
+     * run's own thread, between events.
+     */
+    void poll(std::uint64_t events, SimTime now);
+
   private:
-    std::atomic<std::uint64_t> events_{0};
-    std::atomic<std::int64_t> simTime_{0};
+    using Clock = std::chrono::steady_clock;
+
+    /** The wall-clock verdict at this poll, or AbortReason::None. */
+    AbortReason clockVerdict(SimTime now);
+
+    RunLimits limits_;
     std::atomic<int> abort_{static_cast<int>(AbortReason::None)};
-    /** Written before the run starts, read only by the worker. */
-    std::uint64_t maxEvents_ = 0;
+    /** Whether the first poll has started the wall clock. */
+    bool started_ = false;
+    Clock::time_point startedAt_;
+    /** Sim time seen at the last poll where it had moved, and when. */
+    SimTime progressTime_ = 0;
+    Clock::time_point progressAt_;
 };
 
 }  // namespace uqsim

@@ -59,29 +59,6 @@ Simulator::digestEvent(std::uint64_t when, std::uint64_t sequence)
     traceDigest_ = h;
 }
 
-void
-Simulator::pollControl()
-{
-    control_->publish(executedEvents_,
-                      static_cast<std::int64_t>(now_));
-    const AbortReason requested = control_->abortRequested();
-    if (requested != AbortReason::None) {
-        throw SimulationAbortError(
-            requested, "at t=" + formatSimTime(now_) + " after " +
-                           std::to_string(executedEvents_) +
-                           " events");
-    }
-    if (control_->maxEvents() != 0 &&
-        executedEvents_ >= control_->maxEvents()) {
-        control_->requestAbort(AbortReason::EventBudget);
-        throw SimulationAbortError(
-            AbortReason::EventBudget,
-            "executed " + std::to_string(executedEvents_) +
-                " events, budget " +
-                std::to_string(control_->maxEvents()));
-    }
-}
-
 std::uint64_t
 Simulator::stateFingerprint() const
 {
@@ -156,7 +133,7 @@ Simulator::runLoop(SimTime until, std::uint64_t max_events,
             return StopReason::EventLimit;
         if (control_ != nullptr &&
             executedEvents_ % kControlPollEvents == 0) {
-            pollControl();
+            control_->poll(executedEvents_, now_);
         }
         const SimTime next = queue_.nextTime();
         if (next == kSimTimeMax)

@@ -143,15 +143,15 @@ class Simulator {
     Logger& logger() { return logger_; }
 
     /**
-     * Attaches a supervisor mailbox (nullptr detaches).  While
-     * attached, run() publishes progress watermarks every
-     * kControlPollEvents events and honors abort requests / the
-     * control's event budget by throwing SimulationAbortError
-     * between events.  The budget check happens at poll granularity,
-     * so it is deterministic for a given event stream.
+     * Attaches a run control (nullptr detaches).  While attached,
+     * run() calls RunControl::poll() before the first event and every
+     * kControlPollEvents events after, which throws
+     * SimulationAbortError between events on an abort request or an
+     * exhausted limit (run_control.h).  The event budget is checked
+     * at poll granularity, so it is deterministic for a given event
+     * stream.
      */
     void setRunControl(RunControl* control) { control_ = control; }
-    RunControl* runControl() const { return control_; }
 
     /**
      * Audits engine invariants now: event-heap ordering, slot
@@ -189,7 +189,8 @@ class Simulator {
      */
     std::uint64_t stateFingerprint() const;
 
-    /** Events between control polls / audit clock checks. */
+    /** Events between RunControl polls; an abort or exhausted limit
+     *  ends the run within this many events. */
     static constexpr std::uint64_t kControlPollEvents = 1024;
 
     /**
@@ -205,10 +206,6 @@ class Simulator {
     void digestEvent(std::uint64_t when, std::uint64_t sequence);
     [[noreturn]] void throwSchedulePast(SimTime when) const;
     [[noreturn]] static void throwNegativeDelay();
-
-    /** Publishes watermarks and honors aborts; throws
-     *  SimulationAbortError when the supervisor asked to stop. */
-    void pollControl();
 
     /** Pops the next event through the attached chooser: a tie at
      *  the earliest timestamp becomes an EventTie choice point. */

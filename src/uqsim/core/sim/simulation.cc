@@ -17,9 +17,11 @@ Simulation::Simulation(const SimulationOptions& options)
 }
 
 std::unique_ptr<Simulation>
-Simulation::fromBundle(const ConfigBundle& bundle)
+Simulation::fromBundle(const ConfigBundle& bundle, Chooser* chooser)
 {
     auto simulation = std::make_unique<Simulation>(bundle.options);
+    if (chooser != nullptr)
+        simulation->sim().setChooser(chooser);
     simulation->loadMachinesJson(bundle.machines);
     for (const json::JsonValue& service : bundle.services)
         simulation->loadServiceJson(service);

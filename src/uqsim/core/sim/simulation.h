@@ -44,9 +44,13 @@ class Simulation {
   public:
     explicit Simulation(const SimulationOptions& options = {});
 
-    /** Builds everything from a configuration bundle. */
+    /**
+     * Builds everything from a configuration bundle.  A non-null
+     * @p chooser is attached before anything loads, so it sees the
+     * choice points that finalize() meets (Simulator::setChooser).
+     */
     static std::unique_ptr<Simulation>
-    fromBundle(const ConfigBundle& bundle);
+    fromBundle(const ConfigBundle& bundle, Chooser* chooser = nullptr);
 
     // -- construction phase -------------------------------------------
 
@@ -143,10 +147,9 @@ class Simulation {
     snapshot::LayerFolds layerFolds() const;
 
     /**
-     * Attaches a supervisor mailbox to the engine (nullptr
-     * detaches); see Simulator::setRunControl.  The SweepRunner's
-     * stall watchdog uses this to sample progress watermarks and
-     * abort stalled replications.
+     * Attaches a run control to the engine (nullptr detaches); see
+     * Simulator::setRunControl.  The SweepRunner attaches one per
+     * replication to enforce its per-replication limits.
      */
     void setRunControl(RunControl* control)
     {

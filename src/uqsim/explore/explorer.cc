@@ -4,7 +4,6 @@
 #include <unordered_set>
 #include <utility>
 
-#include "uqsim/core/engine/audit.h"
 #include "uqsim/explore/choosers.h"
 #include "uqsim/runner/run_journal.h"
 
@@ -91,16 +90,13 @@ Explorer::runWith(Chooser& chooser, std::size_t index)
     ScheduleOutcome outcome;
     outcome.index = index;
 
-    // A fresh mailbox per schedule: RunControl aborts are sticky, so
-    // a budget abort must not poison the next schedule.  An external
-    // control (watchdog, Ctrl-C) is shared and ends the whole loop.
-    RunControl localControl;
-    RunControl* control = options_.control;
-    if (control == nullptr &&
-        options_.maxEventsPerSchedule != 0) {
-        localControl.setMaxEvents(options_.maxEventsPerSchedule);
-        control = &localControl;
-    }
+    // A fresh control per schedule: aborts are sticky, so a budget
+    // abort must not poison the next schedule.  An external control
+    // is shared on purpose: its abort ends the whole loop.
+    RunControl localControl(RunLimits{options_.maxEventsPerSchedule});
+    RunControl* control = options_.control != nullptr
+                              ? options_.control
+                              : &localControl;
 
     std::unique_ptr<Simulation> sim;
     std::vector<double> completionSeconds;
@@ -116,8 +112,7 @@ Explorer::runWith(Chooser& chooser, std::size_t index)
                 "explorer factory did not attach the chooser "
                 "(call sim().setChooser() before finalize())");
         }
-        if (control != nullptr)
-            sim->setRunControl(control);
+        sim->setRunControl(control);
         Simulation* raw = sim.get();
         sim->setCompletionListener(
             [raw, &completionSeconds](const Job&, double) {
@@ -127,23 +122,11 @@ Explorer::runWith(Chooser& chooser, std::size_t index)
         outcome.report = sim->run();
         outcome.digest = raw->sim().traceDigest();
     } catch (...) {
-        outcome.status =
-            runner::classifyException(std::current_exception(),
-                                      &outcome.error);
-        if (sim) {
+        outcome.status = runner::classifyException(
+            std::current_exception(), &outcome.error,
+            sim ? &sim->sim() : nullptr);
+        if (sim)
             outcome.digest = sim->sim().traceDigest();
-            // Mirror the harness abort path: a cooperative abort
-            // lands between events, so the engine must still audit
-            // clean.  Corrupted bookkeeping outranks the timeout.
-            const audit::AuditReport audit =
-                sim->sim().auditEngine();
-            if (!audit.violations.empty()) {
-                outcome.status =
-                    runner::FailureKind::InvariantViolation;
-                outcome.error += "; post-abort audit: " +
-                                 audit.violations.front();
-            }
-        }
         return outcome;
     }
 
@@ -298,21 +281,7 @@ Explorer::Factory
 bundleFactory(ConfigBundle bundle)
 {
     return [bundle](Chooser& chooser) {
-        auto simulation =
-            std::make_unique<Simulation>(bundle.options);
-        // The chooser must see the fault plan being scheduled, and
-        // that happens inside finalize() — attach first.
-        simulation->sim().setChooser(&chooser);
-        simulation->loadMachinesJson(bundle.machines);
-        for (const json::JsonValue& service : bundle.services)
-            simulation->loadServiceJson(service);
-        simulation->loadGraphJson(bundle.graph);
-        simulation->loadPathJson(bundle.paths);
-        simulation->loadClientJson(bundle.client);
-        if (!bundle.faults.isNull())
-            simulation->loadFaultsJson(bundle.faults);
-        simulation->finalize();
-        return simulation;
+        return Simulation::fromBundle(bundle, &chooser);
     };
 }
 

@@ -59,11 +59,16 @@ struct ExploreOptions {
     /** DPOR-lite revisit pruning on (state, kind, option). */
     bool pruneVisited = true;
     /** Abort each schedule after this many events (0 = off);
-     *  classified Timeout via the harness taxonomy. */
+     *  classified Timeout via the harness taxonomy.  Ignored when
+     *  an external control is given. */
     std::uint64_t maxEventsPerSchedule = 0;
-    /** External supervisor mailbox (watchdog / Ctrl-C).  An abort
-     *  request stops the current schedule (Timeout) and ends the
-     *  exploration loop.  Null = explorer-managed control only. */
+    /**
+     * External run control, shared by every schedule on purpose: an
+     * abort request (e.g. from a Ctrl-C handler) stops the current
+     * schedule (Timeout) and ends the exploration loop, and so does
+     * any limit it carries, since aborts are sticky.  Null = one
+     * fresh explorer-owned control per schedule.
+     */
     RunControl* control = nullptr;
     /** Append one runner-journal line per schedule ("" = off). */
     std::string journalPath;
@@ -119,7 +124,8 @@ class Explorer {
      * Builds one fresh, finalized Simulation per schedule.  The
      * factory must attach @p chooser via sim().setChooser() *before*
      * Simulation::finalize(), because fault-plan choice points fire
-     * inside finalize(); bundleFactory() does this correctly.
+     * inside finalize(); Simulation::fromBundle(bundle, &chooser)
+     * and bundleFactory() do this correctly.
      */
     using Factory =
         std::function<std::unique_ptr<Simulation>(Chooser& chooser)>;
@@ -155,9 +161,9 @@ class Explorer {
 };
 
 /**
- * Factory over a parsed configuration bundle, assembling the
- * Simulation in the order fromBundle() uses but attaching the
- * chooser before finalize() so FaultJitter choice points are seen.
+ * Factory over a parsed configuration bundle: Simulation::fromBundle
+ * with the schedule's chooser, which it attaches before anything
+ * loads so FaultJitter choice points in finalize() are seen.
  */
 Explorer::Factory bundleFactory(ConfigBundle bundle);
 

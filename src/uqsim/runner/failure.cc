@@ -4,6 +4,7 @@
 
 #include "uqsim/core/engine/audit.h"
 #include "uqsim/core/engine/run_control.h"
+#include "uqsim/core/engine/simulator.h"
 #include "uqsim/json/json_value.h"
 
 namespace uqsim {
@@ -38,9 +39,10 @@ failureKindFromName(const std::string& name)
     throw std::invalid_argument("unknown failure kind: " + name);
 }
 
+namespace {
+
 FailureKind
-classifyException(const std::exception_ptr& error,
-                  std::string* message)
+classifyThrown(const std::exception_ptr& error, std::string* message)
 {
     try {
         std::rethrow_exception(error);
@@ -69,6 +71,22 @@ classifyException(const std::exception_ptr& error,
         *message = "unknown exception";
         return FailureKind::InternalError;
     }
+}
+
+}  // namespace
+
+FailureKind
+classifyException(const std::exception_ptr& error,
+                  std::string* message, const Simulator* engine)
+{
+    const FailureKind kind = classifyThrown(error, message);
+    if (engine == nullptr)
+        return kind;
+    const audit::AuditReport report = engine->auditEngine();
+    if (report.clean())
+        return kind;
+    *message += "; post-failure engine audit: " + report.describe();
+    return FailureKind::InvariantViolation;
 }
 
 }  // namespace runner

@@ -15,10 +15,12 @@
  *     option, a factory that violates the runner protocol).
  *     Deterministic — re-running cannot help.
  *   - InvariantViolation: the engine auditor caught corrupted
- *     bookkeeping.  A simulator bug; results of this replication
- *     are untrustworthy.
- *   - Timeout: the stall watchdog, wall-clock budget, or event
- *     budget killed the replication (SimulationAbortError).
+ *     bookkeeping, during the run or in the post-failure audit of
+ *     classifyException.  A simulator bug; results of this
+ *     replication are untrustworthy.
+ *   - Timeout: the event budget, wall-clock budget or stall window
+ *     of the run's RunControl, or an external abort request, killed
+ *     the replication (SimulationAbortError).
  *   - InternalError: any other exception — unclassified bug.
  *
  * Journal status strings use the same names (failureKindName), so a
@@ -29,6 +31,9 @@
 #include <string>
 
 namespace uqsim {
+
+class Simulator;
+
 namespace runner {
 
 /** How a replication failed; None means it completed. */
@@ -52,9 +57,17 @@ FailureKind failureKindFromName(const std::string& name);
  * Classifies the in-flight exception held by @p error and renders
  * its message into @p message (best effort; "unknown exception" for
  * non-std exceptions).  @p error must not be null.
+ *
+ * With @p engine, the engine that was running when @p error was
+ * thrown, also audits it: whatever threw, RAII must have released
+ * the engine's pooled storage.  A finding escalates the failure to
+ * InvariantViolation, because salvage would otherwise merge results
+ * next to a corrupted pool, and appends "; post-failure engine
+ * audit: " and the findings to @p message.
  */
 FailureKind classifyException(const std::exception_ptr& error,
-                              std::string* message);
+                              std::string* message,
+                              const Simulator* engine = nullptr);
 
 }  // namespace runner
 }  // namespace uqsim

@@ -12,7 +12,6 @@
 #include <thread>
 #include <utility>
 
-#include "uqsim/core/engine/audit.h"
 #include "uqsim/random/rng.h"
 #include "uqsim/runner/run_journal.h"
 
@@ -166,11 +165,10 @@ SweepRunner::SweepRunner(RunnerOptions options)
         throw std::invalid_argument("replications must be >= 1");
     if (!(options_.confidence > 0.0 && options_.confidence < 1.0))
         throw std::invalid_argument("confidence must be in (0, 1)");
-    if (options_.watchdog.wallTimeoutSeconds < 0.0 ||
-        options_.watchdog.stallWindowSeconds < 0.0 ||
-        options_.watchdog.pollIntervalSeconds <= 0.0) {
-        throw std::invalid_argument("watchdog limits must be >= 0 and "
-                                    "the poll interval positive");
+    if (!(options_.limits.wallTimeoutSeconds >= 0.0) ||
+        !(options_.limits.stallWindowSeconds >= 0.0)) {
+        throw std::invalid_argument(
+            "wall timeout and stall window must be >= 0 seconds");
     }
 }
 
@@ -366,8 +364,6 @@ SweepRunner::run()
             ++pending;
     }
 
-    StallWatchdog watchdog(options_.watchdog);
-
     // A failure to *journal* is a harness/IO problem, not a job
     // failure: it is collected here and always thrown, because a
     // journal the user asked for that silently stopped recording
@@ -389,9 +385,7 @@ SweepRunner::run()
             JobSlot& slot = slots[index];
             slot.result.seed = job.seed;
 
-            RunControl control;
-            control.setMaxEvents(
-                options_.watchdog.maxEventsPerReplication);
+            RunControl control(options_.limits);
             std::unique_ptr<Simulation> simulation;
             try {
                 simulation = sweeps_[job.sweep].factory(job.qps, job.seed);
@@ -401,7 +395,6 @@ SweepRunner::run()
                         "simulation");
                 }
                 simulation->setRunControl(&control);
-                WatchGuard guard(&watchdog, &control);
                 if (options_.checkpoint.enabled()) {
                     snapshot::CheckpointOptions ckpt =
                         options_.checkpoint;
@@ -453,24 +446,11 @@ SweepRunner::run()
                 slot.latencies = simulation->latencies();
             } catch (...) {
                 slot.raw = std::current_exception();
-                slot.result.failure =
-                    classifyException(slot.raw, &slot.result.error);
-                // Abort-path leak check: whatever threw, the engine's
-                // pooled storage must have been released by RAII
-                // (FiredEvent slots in particular).  A violation here
-                // means salvage would merge against a corrupted pool,
-                // so escalate it over the original classification.
-                if (simulation && simulation->finalized()) {
-                    const audit::AuditReport engine_audit =
-                        simulation->sim().auditEngine();
-                    if (!engine_audit.clean()) {
-                        slot.result.failure =
-                            FailureKind::InvariantViolation;
-                        slot.result.error +=
-                            "; post-failure engine audit: " +
-                            engine_audit.describe();
-                    }
-                }
+                slot.result.failure = classifyException(
+                    slot.raw, &slot.result.error,
+                    simulation && simulation->finalized()
+                        ? &simulation->sim()
+                        : nullptr);
             }
             if (journal != nullptr) {
                 try {

@@ -29,8 +29,9 @@
  * salvaged — their aggregates flagged degraded when short of the
  * planned replication count.  A run journal (runner/run_journal.h)
  * plus `resumePath` re-runs only failed/missing jobs with their
- * original seeds; the stall watchdog (runner/watchdog.h) converts
- * livelocked or runaway replications into classified timeouts.
+ * original seeds.  Each replication runs under its own RunControl
+ * (core/engine/run_control.h), whose limits turn livelocked or
+ * runaway replications into classified timeouts.
  *
  * The factory is invoked concurrently from pool threads and must be
  * thread-safe: it should only read shared immutable parameters and
@@ -43,11 +44,11 @@
 #include <string>
 #include <vector>
 
+#include "uqsim/core/engine/run_control.h"
 #include "uqsim/core/sim/report.h"
 #include "uqsim/core/sim/simulation.h"
 #include "uqsim/core/sim/sweep.h"
 #include "uqsim/runner/failure.h"
-#include "uqsim/runner/watchdog.h"
 #include "uqsim/snapshot/checkpoint.h"
 #include "uqsim/stats/confidence.h"
 #include "uqsim/stats/percentile_recorder.h"
@@ -92,8 +93,10 @@ struct RunnerOptions {
     double confidence = 0.95;
     /** Failure isolation policy (see FailurePolicy). */
     FailurePolicy failurePolicy = FailurePolicy::Isolate;
-    /** Stall watchdog / budget limits (all 0 = unsupervised). */
-    WatchdogLimits watchdog;
+    /** Per-replication event budget, wall-clock budget and stall
+     *  window (each >= 0; 0 disables it).  Every job polls its own
+     *  RunControl with these limits between events. */
+    RunLimits limits;
     /** Append the fate of every job to this JSONL journal
      *  (empty = no journal). */
     std::string journalPath;

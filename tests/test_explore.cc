@@ -310,9 +310,9 @@ TEST(Explorer, EventBudgetAbortClassifiesAsTimeoutWithCleanAudit)
     EXPECT_FALSE(result.aborted);
     EXPECT_EQ(result.outcomes[0].status,
               runner::FailureKind::Timeout);
-    // The cooperative abort lands between events: the post-abort
+    // The cooperative abort lands between events: the post-failure
     // engine audit must stay clean (no escalation to invariant).
-    EXPECT_EQ(result.outcomes[0].error.find("post-abort audit"),
+    EXPECT_EQ(result.outcomes[0].error.find("post-failure engine audit"),
               std::string::npos);
 }
 

@@ -666,26 +666,6 @@ fabricBundle(std::uint64_t seed, double qps, bool backups,
     return bundle;
 }
 
-/** Mirrors the explorer's assembly order: the chooser must be
- *  attached before finalize() so it sees the fault plan being
- *  scheduled. */
-std::unique_ptr<Simulation>
-buildSimWithChooser(const ConfigBundle& bundle, Chooser* chooser)
-{
-    auto simulation = std::make_unique<Simulation>(bundle.options);
-    simulation->sim().setChooser(chooser);
-    simulation->loadMachinesJson(bundle.machines);
-    for (const JsonValue& service : bundle.services)
-        simulation->loadServiceJson(service);
-    simulation->loadGraphJson(bundle.graph);
-    simulation->loadPathJson(bundle.paths);
-    simulation->loadClientJson(bundle.client);
-    if (!bundle.faults.isNull())
-        simulation->loadFaultsJson(bundle.faults);
-    simulation->finalize();
-    return simulation;
-}
-
 const FlowModel&
 flowModelOf(Simulation& simulation)
 {
@@ -801,7 +781,7 @@ TEST(TopologyFaultsEndToEnd, WindowShiftClampsToHorizonKeepingWidth)
     limits.faultJitterChoices = 8;
     limits.faultJitterStepSeconds = 0.2;
     explore::RecordingChooser chooser(limits, {3});
-    auto simulation = buildSimWithChooser(bundle, &chooser);
+    auto simulation = Simulation::fromBundle(bundle, &chooser);
     simulation->run();
 
     const FlowModel& model = flowModelOf(*simulation);
@@ -828,7 +808,7 @@ TEST(TopologyFaultsEndToEnd, WindowAtOrPastHorizonIsNeverShifted)
     limits.faultJitterChoices = 8;
     limits.faultJitterStepSeconds = 0.2;
     explore::RecordingChooser chooser(limits, {3});
-    auto simulation = buildSimWithChooser(bundle, &chooser);
+    auto simulation = Simulation::fromBundle(bundle, &chooser);
     const RunReport report = simulation->run();
 
     const FlowModel& model = flowModelOf(*simulation);

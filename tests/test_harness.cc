@@ -2,18 +2,21 @@
  * @file
  * Tests for the harness robustness layer: the failure taxonomy,
  * crash-isolated sweeps with partial-result salvage, the run
- * journal and --resume semantics, the stall watchdog / event
- * budget, and the engine invariant auditor.
+ * journal and --resume semantics, the per-run limits (event
+ * budget, wall timeout, stall window), and the engine invariant
+ * auditor.
  */
 
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
 #include <stdexcept>
 #include <string>
+#include <thread>
 #include <vector>
 
 #if defined(__unix__) || defined(__APPLE__)
@@ -32,7 +35,6 @@
 #include "uqsim/runner/failure.h"
 #include "uqsim/runner/run_journal.h"
 #include "uqsim/runner/sweep_runner.h"
-#include "uqsim/runner/watchdog.h"
 #include "uqsim/snapshot/checkpoint.h"
 
 namespace uqsim {
@@ -521,7 +523,7 @@ TEST(RunJournal, ResumeIgnoresEntriesWithMismatchedSeeds)
 }
 
 // ---------------------------------------------------------------------
-// Stall watchdog and budgets
+// Run limits
 
 /** Schedules an event that reschedules itself at the same sim time:
  *  events keep firing but the clock never advances. */
@@ -532,12 +534,11 @@ scheduleLivelock(Simulator& sim)
                       "livelock");
 }
 
-TEST(Watchdog, StallWindowKillsZeroDelayLivelock)
+TEST(RunLimits, StallWindowKillsZeroDelayLivelock)
 {
     runner::RunnerOptions options;
     options.jobs = 1;
-    options.watchdog.stallWindowSeconds = 0.2;
-    options.watchdog.pollIntervalSeconds = 0.02;
+    options.limits.stallWindowSeconds = 0.2;
     runner::SweepRunner sweep_runner(options);
     sweep_runner.addSweep("stall", {500.0},
                           [](double qps, std::uint64_t seed) {
@@ -553,12 +554,12 @@ TEST(Watchdog, StallWindowKillsZeroDelayLivelock)
     EXPECT_NE(rep.error.find("stall"), std::string::npos);
 }
 
-TEST(Watchdog, EventBudgetIsDeterministic)
+TEST(RunLimits, EventBudgetIsDeterministic)
 {
     auto run_with_budget = [](std::uint64_t budget) {
         runner::RunnerOptions options;
         options.jobs = 1;
-        options.watchdog.maxEventsPerReplication = budget;
+        options.limits.maxEvents = budget;
         runner::SweepRunner sweep_runner(options);
         sweep_runner.addSweep("budget", {20000.0}, thriftFactory());
         return sweep_runner.run()[0].points[0].replications[0];
@@ -571,12 +572,11 @@ TEST(Watchdog, EventBudgetIsDeterministic)
     EXPECT_EQ(a.error, b.error);
 }
 
-TEST(Watchdog, WallTimeoutKillsLongRun)
+TEST(RunLimits, WallTimeoutKillsLongRun)
 {
     runner::RunnerOptions options;
     options.jobs = 1;
-    options.watchdog.wallTimeoutSeconds = 0.05;
-    options.watchdog.pollIntervalSeconds = 0.01;
+    options.limits.wallTimeoutSeconds = 0.05;
     runner::SweepRunner sweep_runner(options);
     // A long, high-load run that would take far more than 50 ms.
     sweep_runner.addSweep(
@@ -594,10 +594,10 @@ TEST(Watchdog, WallTimeoutKillsLongRun)
     EXPECT_NE(rep.error.find("wall-timeout"), std::string::npos);
 }
 
-TEST(Watchdog, UnsupervisedRunsAreUntouched)
+TEST(RunLimits, UnsupervisedRunsAreUntouched)
 {
-    // All limits zero: no watchdog thread, no RunControl overhead
-    // beyond the poll branch, results identical to the seed path.
+    // All limits zero: no RunControl overhead beyond the poll
+    // branch, results identical to the seed path.
     runner::RunnerOptions options;
     options.jobs = 1;
     runner::SweepRunner sweep_runner(options);
@@ -610,6 +610,61 @@ TEST(Watchdog, UnsupervisedRunsAreUntouched)
     EXPECT_GT(rep.report.completed, 0u);
 }
 
+TEST(RunLimits, StallWindowSparesAProgressingRun)
+{
+    // The run lasts more than two stall windows in an optimised
+    // build (far more under sanitizers), but its clock moves between
+    // every two polls, so no poll sees a stall.  Two simulated
+    // seconds keep the run near 2 s under TSan.
+    runner::RunnerOptions options;
+    options.jobs = 1;
+    options.limits.stallWindowSeconds = 0.025;
+    runner::SweepRunner sweep_runner(options);
+    sweep_runner.addSweep(
+        "progressing", {20000.0}, [](double qps, std::uint64_t seed) {
+            models::ThriftEchoParams params = thriftParams(qps, seed);
+            params.run.durationSeconds = 2.0;
+            return Simulation::fromBundle(
+                models::thriftEchoBundle(params));
+        });
+    const runner::ReplicationResult rep =
+        sweep_runner.run()[0].points[0].replications[0];
+    EXPECT_TRUE(rep.ok()) << rep.error;
+
+    // A moving clock alone does not spare a run: a poll that comes a
+    // window or more after the last one is a stall.
+    RunControl slow(RunLimits{0, 0.0, 0.025});
+    slow.poll(0, 0);
+    std::this_thread::sleep_for(std::chrono::milliseconds(30));
+    EXPECT_THROW(slow.poll(Simulator::kControlPollEvents, 1),
+                 SimulationAbortError);
+    EXPECT_EQ(slow.abortRequested(), AbortReason::Stall);
+}
+
+TEST(RunLimits, WallTimeoutStartsWithTheRun)
+{
+    // Building the simulation takes longer than the wall budget; the
+    // budget counts from the run's first event, so the short run
+    // that follows still ends ok.
+    runner::RunnerOptions options;
+    options.jobs = 1;
+    options.limits.wallTimeoutSeconds = 0.2;
+    runner::SweepRunner sweep_runner(options);
+    sweep_runner.addSweep(
+        "slow-build", {1000.0}, [](double qps, std::uint64_t seed) {
+            std::this_thread::sleep_for(std::chrono::milliseconds(300));
+            models::ThriftEchoParams params = thriftParams(qps, seed);
+            params.run.warmupSeconds = 0.01;
+            params.run.durationSeconds = 0.05;
+            return Simulation::fromBundle(
+                models::thriftEchoBundle(params));
+        });
+    const runner::ReplicationResult rep =
+        sweep_runner.run()[0].points[0].replications[0];
+    EXPECT_TRUE(rep.ok()) << rep.error;
+    EXPECT_GT(rep.report.completed, 0u);
+}
+
 TEST(RunControl, FirstAbortReasonWins)
 {
     RunControl control;
@@ -617,9 +672,6 @@ TEST(RunControl, FirstAbortReasonWins)
     control.requestAbort(AbortReason::Stall);
     control.requestAbort(AbortReason::WallTimeout);
     EXPECT_EQ(control.abortRequested(), AbortReason::Stall);
-    control.publish(42, 1000);
-    EXPECT_EQ(control.eventWatermark(), 42u);
-    EXPECT_EQ(control.simTimeWatermark(), 1000);
 }
 
 // ---------------------------------------------------------------------
@@ -683,7 +735,7 @@ TEST(Auditor, AbortedReplicationLeavesNoLeakedEvents)
     runner::RunnerOptions options;
     options.jobs = 2;
     options.replications = 2;
-    options.watchdog.maxEventsPerReplication = 4000;
+    options.limits.maxEvents = 4000;
     runner::SweepRunner sweep_runner(options);
     sweep_runner.addSweep("aborted", {20000.0}, thriftFactory());
     const std::vector<runner::ReplicatedCurve> curves =

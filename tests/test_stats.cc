@@ -7,16 +7,13 @@
 
 #include <cmath>
 #include <functional>
-#include <limits>
 #include <vector>
 
 #include "uqsim/random/rng.h"
 #include "uqsim/stats/confidence.h"
-#include "uqsim/stats/latency_histogram.h"
 #include "uqsim/stats/percentile_recorder.h"
 #include "uqsim/stats/running_quantile.h"
 #include "uqsim/stats/summary.h"
-#include "uqsim/stats/throughput_meter.h"
 #include "uqsim/stats/time_series.h"
 #include "uqsim/stats/windowed_tail_tracker.h"
 
@@ -212,126 +209,6 @@ TEST(RunningQuantile, MatchesRecorderBitForBitAfterEveryAdd)
     }
 }
 
-// ---------------------------------------------------- LatencyHistogram
-
-TEST(LatencyHistogram, CountsAndMean)
-{
-    LatencyHistogram hist(1e-6, 7);
-    hist.add(1e-3);
-    hist.addN(2e-3, 3);
-    EXPECT_EQ(hist.count(), 4u);
-    EXPECT_NEAR(hist.mean(), (1e-3 + 3 * 2e-3) / 4.0, 1e-12);
-    EXPECT_NEAR(hist.max(), 2e-3, 1e-12);
-    EXPECT_NEAR(hist.min(), 1e-3, 1e-12);
-}
-
-TEST(LatencyHistogram, BoundedRelativeError)
-{
-    LatencyHistogram hist(1e-9, 7);
-    random::Rng rng(55);
-    PercentileRecorder exact;
-    for (int i = 0; i < 100000; ++i) {
-        const double v = rng.nextDouble() * 1e-2;
-        hist.add(v);
-        exact.add(v);
-    }
-    for (double p : {50.0, 90.0, 99.0, 99.9}) {
-        const double approx = hist.percentile(p);
-        const double truth = exact.percentile(p);
-        EXPECT_NEAR(approx, truth, truth * 0.02 + 1e-9)
-            << "at percentile " << p;
-    }
-}
-
-TEST(LatencyHistogram, MergeAddsCounts)
-{
-    LatencyHistogram a(1e-6, 7), b(1e-6, 7);
-    a.add(1e-3);
-    b.add(5e-3);
-    a.merge(b);
-    EXPECT_EQ(a.count(), 2u);
-    EXPECT_NEAR(a.max(), 5e-3, 1e-12);
-}
-
-TEST(LatencyHistogram, MergeMismatchThrows)
-{
-    LatencyHistogram a(1e-6, 7), b(1e-6, 8);
-    EXPECT_THROW(a.merge(b), std::invalid_argument);
-}
-
-TEST(LatencyHistogram, NegativeClampedToZero)
-{
-    LatencyHistogram hist;
-    hist.add(-1.0);
-    EXPECT_EQ(hist.count(), 1u);
-    EXPECT_DOUBLE_EQ(hist.min(), 0.0);
-}
-
-TEST(LatencyHistogram, EmptyPercentileIsZero)
-{
-    LatencyHistogram hist;
-    EXPECT_DOUBLE_EQ(hist.percentile(99.0), 0.0);
-}
-
-TEST(LatencyHistogram, InvalidParamsThrow)
-{
-    EXPECT_THROW(LatencyHistogram(0.0, 7), std::invalid_argument);
-    EXPECT_THROW(LatencyHistogram(1e-6, 0), std::invalid_argument);
-    EXPECT_THROW(LatencyHistogram(1e-6, 30), std::invalid_argument);
-}
-
-TEST(LatencyHistogram, PercentileStaysWithinObservedRange)
-{
-    // Bucket midpoints can overshoot the recorded maximum (or
-    // undershoot the minimum); percentiles must clamp to the
-    // observed [min, max] range.
-    LatencyHistogram hist(1e-6, 2);  // coarse buckets: wide midpoints
-    hist.add(1.000e-3);
-    hist.add(1.001e-3);
-    hist.add(1.002e-3);
-    for (double p : {0.0, 10.0, 50.0, 90.0, 99.0, 99.99}) {
-        EXPECT_GE(hist.percentile(p), hist.min())
-            << "at percentile " << p;
-        EXPECT_LE(hist.percentile(p), hist.max())
-            << "at percentile " << p;
-    }
-}
-
-TEST(LatencyHistogram, P100ReturnsExactMax)
-{
-    LatencyHistogram hist(1e-6, 7);
-    hist.add(1.0e-3);
-    hist.add(7.7777e-3);
-    EXPECT_DOUBLE_EQ(hist.percentile(100.0), hist.max());
-    EXPECT_DOUBLE_EQ(hist.percentile(100.0), 7.7777e-3);
-    // Out-of-range p clamps into [0, 100] first.
-    EXPECT_DOUBLE_EQ(hist.percentile(250.0), 7.7777e-3);
-}
-
-TEST(LatencyHistogram, NonFiniteAndHugeValuesAreClamped)
-{
-    LatencyHistogram hist(1e-6, 7);
-    hist.add(1e-3);
-    hist.add(std::numeric_limits<double>::infinity());
-    hist.addN(std::numeric_limits<double>::max(), 2);
-    hist.add(std::numeric_limits<double>::quiet_NaN());  // counts as 0
-    hist.add(-std::numeric_limits<double>::infinity());  // clamps to 0
-    EXPECT_EQ(hist.count(), 6u);
-    EXPECT_EQ(hist.clampedSamples(), 3u);
-    // The recorded max is the finite ceiling, never inf/NaN.
-    EXPECT_TRUE(std::isfinite(hist.max()));
-    EXPECT_TRUE(std::isfinite(hist.mean()));
-    EXPECT_TRUE(std::isfinite(hist.percentile(99.0)));
-    EXPECT_DOUBLE_EQ(hist.min(), 0.0);
-
-    LatencyHistogram other(1e-6, 7);
-    other.add(std::numeric_limits<double>::infinity());
-    hist.merge(other);
-    EXPECT_EQ(hist.clampedSamples(), 4u);
-    hist.reset();
-    EXPECT_EQ(hist.clampedSamples(), 0u);
-}
-
 // ------------------------------------------------- WindowedTailTracker
 
 TEST(WindowedTailTracker, CloseComputesAndResets)
@@ -394,42 +271,6 @@ TEST(TimeSeries, TextRendering)
     TimeSeries series;
     series.add(1.5, 2.5);
     EXPECT_EQ(series.toText(), "1.5 2.5\n");
-}
-
-// -------------------------------------------------------- ThroughputMeter
-
-TEST(ThroughputMeter, OverallRate)
-{
-    ThroughputMeter meter;
-    for (int i = 0; i <= 100; ++i)
-        meter.record(static_cast<double>(i) * 0.01);
-    EXPECT_EQ(meter.count(), 101u);
-    EXPECT_NEAR(meter.overallRate(), 100.0, 1e-9);
-}
-
-TEST(ThroughputMeter, SingleEventHasNoRate)
-{
-    ThroughputMeter meter;
-    meter.record(1.0);
-    EXPECT_DOUBLE_EQ(meter.overallRate(), 0.0);
-}
-
-TEST(ThroughputMeter, BucketedRates)
-{
-    ThroughputMeter meter(1.0);
-    for (int i = 0; i < 10; ++i)
-        meter.record(0.05 * i);  // 10 events in bucket 0
-    meter.record(1.5);           // 1 event in bucket 1
-    const auto& rates = meter.bucketRates();
-    ASSERT_EQ(rates.size(), 2u);
-    EXPECT_DOUBLE_EQ(rates[0], 10.0);
-    EXPECT_DOUBLE_EQ(rates[1], 1.0);
-    EXPECT_NEAR(meter.rateOver(0.0, 2.0), 5.5, 1e-9);
-}
-
-TEST(ThroughputMeter, NegativeBucketWidthThrows)
-{
-    EXPECT_THROW(ThroughputMeter(-1.0), std::invalid_argument);
 }
 
 // ------------------------------------------- mergeable statistics
@@ -535,56 +376,6 @@ TEST(PercentileRecorder, MergeInvalidatesCachedSort)
     b.add(3.0);
     a.merge(b);
     EXPECT_DOUBLE_EQ(a.p50(), 2.0);
-}
-
-TEST(LatencyHistogram, MergeOfPartsEqualsSingleStream)
-{
-    random::Rng rng(31);
-    LatencyHistogram all(1e-6, 7), left(1e-6, 7), right(1e-6, 7);
-    for (int i = 0; i < 3000; ++i) {
-        const double v = rng.nextDouble() * 1e-2;
-        all.add(v);
-        (i % 2 == 0 ? left : right).add(v);
-    }
-    left.merge(right);
-    EXPECT_EQ(left.count(), all.count());
-    EXPECT_EQ(left.percentile(50.0), all.percentile(50.0));
-    EXPECT_EQ(left.percentile(99.0), all.percentile(99.0));
-    EXPECT_EQ(left.max(), all.max());
-    EXPECT_NEAR(left.mean(), all.mean(), 1e-12);
-}
-
-TEST(LatencyHistogram, MergeEmptyIsIdentity)
-{
-    LatencyHistogram histogram, empty;
-    histogram.add(0.5);
-    histogram.merge(empty);
-    EXPECT_EQ(histogram.count(), 1u);
-    empty.merge(histogram);
-    EXPECT_EQ(empty.count(), 1u);
-    EXPECT_EQ(empty.percentile(50.0), histogram.percentile(50.0));
-}
-
-TEST(LatencyHistogram, MergeIsAssociative)
-{
-    random::Rng rng(37);
-    LatencyHistogram a, b, c;
-    for (int i = 0; i < 1000; ++i) {
-        a.add(rng.nextDouble() * 1e-3);
-        b.add(rng.nextDouble() * 1e-2);
-        c.add(rng.nextDouble() * 1e-1);
-    }
-    LatencyHistogram ab_c = a;
-    ab_c.merge(b);
-    ab_c.merge(c);
-    LatencyHistogram bc = b;
-    bc.merge(c);
-    LatencyHistogram a_bc = a;
-    a_bc.merge(bc);
-    EXPECT_EQ(ab_c.count(), a_bc.count());
-    for (double p : {10.0, 50.0, 90.0, 99.0})
-        EXPECT_EQ(ab_c.percentile(p), a_bc.percentile(p));
-    EXPECT_NEAR(ab_c.mean(), a_bc.mean(), 1e-15);
 }
 
 // ------------------------------------------- confidence intervals
