@@ -11,38 +11,26 @@
  *             [--jobs N] [--reps R] [--seed S]
  *             [--journal FILE] [--resume FILE] [--strict]
  *             [--wall-timeout S] [--stall-timeout S] [--max-events N]
- *             [--checkpoint-every N] [--checkpoint-seconds S]
- *             [--checkpoint-dir DIR] [--checkpoint-keep K]
- *             [--resume-from-snapshot]
  *
- * where <app> is one of: two_tier, three_tier, lb4, lb8, lb16,
- * fanout4, fanout8, fanout16, thrift, social.  --jobs 0 (default)
- * uses all hardware threads.
+ * where <app> is one of: two_tier, three_tier, lb<N> (N web
+ * servers, e.g. lb4, lb8, lb16), fanout<N> (N leaves, e.g. fanout4,
+ * fanout8, fanout16), thrift, social.  --jobs 0 (default) uses all
+ * hardware threads.  Every number must parse whole (cli_flags.h):
+ * lo, hi, points and duration_s are positive, points, --reps, N and
+ * --jobs are integers; a malformed one, an unknown app or a stray
+ * positional argument exits 1.
  *
  * Robustness flags (docs/ARCHITECTURE.md §"Harness failure-handling
  * contract"): --journal appends every job's fate to a JSONL run
  * journal; --resume skips jobs an earlier journal already recorded
- * ok and re-runs only failed/missing ones; --strict restores the
- * legacy fail-fast behaviour (first error aborts the sweep); the
- * limit flags kill runaway or stalled replications and report them
- * as timeouts.  Each limit is checked between events, at most 1,024
- * events apart: --max-events N caps the executed events,
- * --wall-timeout S the wall time from the replication's first event,
- * and --stall-timeout S the wall time the simulated clock may stand
- * still.  A malformed limit value exits 1.
- *
- * Checkpoint flags (docs/ARCHITECTURE.md §"Checkpoint / restore"):
- * --checkpoint-every N writes a snapshot of every in-flight
- * replication each N executed events (--checkpoint-seconds uses a
- * simulated-time cadence instead) under --checkpoint-dir (default
- * "checkpoints"), keeping the newest --checkpoint-keep per job;
- * --resume-from-snapshot restores each job from its newest valid
- * snapshot, so a SIGKILL'd sweep resumes with the replay verified
- * against the snapshot's trace digest and layer folds, and prints
- * how many jobs resumed.  The scan skips snapshots of another format
- * version, so those jobs run fresh.  Restore replays from event 0,
- * so resuming saves no wall time.  Checkpointing never changes
- * results — trace digests match an uncheckpointed run exactly.
+ * ok and re-runs only failed/missing ones, which is how a killed
+ * sweep resumes; --strict restores the legacy fail-fast behaviour
+ * (first error aborts the sweep); the limit flags kill runaway or
+ * stalled replications and report them as timeouts.  Each limit is
+ * checked between events, at most 1,024 events apart: --max-events
+ * N caps the executed events, --wall-timeout S the wall time from
+ * the replication's first event, and --stall-timeout S the wall
+ * time the simulated clock may stand still.
  *
  * Exit status: 0 all replications ok; 1 usage/config error or (with
  * --strict) a failed job; 2 the sweep completed but some
@@ -53,12 +41,11 @@
 #include <algorithm>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <iostream>
 #include <string>
 #include <vector>
 
-#include "limit_flags.h"
+#include "cli_flags.h"
 #include "uqsim/json/validation.h"
 #include "uqsim/models/applications.h"
 #include "uqsim/runner/sweep_runner.h"
@@ -80,9 +67,36 @@ runParams(double qps, std::uint64_t seed, double duration)
     return run;
 }
 
+/**
+ * The N of an lb<N> or fanout<N> app, 0 for the other apps.  A
+ * malformed N or an unknown app prints an error and exits 1.
+ */
+int
+appWidth(const std::string& app)
+{
+    if (app.rfind("lb", 0) == 0)
+        return parseNumber<int>("lb<N>", app.c_str() + 2, Range::Positive);
+    if (app.rfind("fanout", 0) == 0) {
+        return parseNumber<int>("fanout<N>", app.c_str() + 6,
+                                Range::Positive);
+    }
+    const std::vector<std::string> fixed = {"two_tier", "three_tier",
+                                            "thrift", "social"};
+    if (std::find(fixed.begin(), fixed.end(), app) != fixed.end())
+        return 0;
+    std::string message = "error: unknown app \"" + app + "\"";
+    const std::string suggestion = json::suggestClosest(
+        app, {"two_tier", "three_tier", "lb4", "fanout4", "thrift",
+              "social"});
+    if (!suggestion.empty())
+        message += "; did you mean \"" + suggestion + "\"?";
+    std::fprintf(stderr, "%s\n", message.c_str());
+    std::exit(1);
+}
+
 std::unique_ptr<Simulation>
-makeApp(const std::string& app, double qps, std::uint64_t seed,
-        double duration)
+makeApp(const std::string& app, int width, double qps,
+        std::uint64_t seed, double duration)
 {
     if (app == "two_tier") {
         models::TwoTierParams params;
@@ -97,14 +111,14 @@ makeApp(const std::string& app, double qps, std::uint64_t seed,
     if (app.rfind("lb", 0) == 0) {
         models::LoadBalancerParams params;
         params.run = runParams(qps, seed, duration);
-        params.webServers = std::atoi(app.c_str() + 2);
+        params.webServers = width;
         return Simulation::fromBundle(
             models::loadBalancerBundle(params));
     }
     if (app.rfind("fanout", 0) == 0) {
         models::FanoutParams params;
         params.run = runParams(qps, seed, duration);
-        params.fanout = std::atoi(app.c_str() + 6);
+        params.fanout = width;
         return Simulation::fromBundle(models::fanoutBundle(params));
     }
     if (app == "thrift") {
@@ -129,10 +143,7 @@ usage(const char* argv0)
                  "[--jobs N] [--reps R] [--seed S] "
                  "[--journal FILE] [--resume FILE] [--strict] "
                  "[--wall-timeout S] [--stall-timeout S] "
-                 "[--max-events N] "
-                 "[--checkpoint-every N] [--checkpoint-seconds S] "
-                 "[--checkpoint-dir DIR] [--checkpoint-keep K] "
-                 "[--resume-from-snapshot]\n",
+                 "[--max-events N]\n",
                  argv0);
 }
 
@@ -146,6 +157,7 @@ main(int argc, char** argv)
         return 1;
     }
     const std::string app = argv[1];
+    const int width = appWidth(app);
     double lo = 1000.0, hi = 50000.0;
     int points = 8;
     double duration = 2.5;
@@ -163,12 +175,14 @@ main(int argc, char** argv)
             return argv[++i];
         };
         if (arg == "--jobs") {
-            options.jobs = std::atoi(next_value());
+            options.jobs =
+                parseNumber<int>(arg, next_value(), Range::NonNegative);
         } else if (arg == "--reps") {
-            options.replications = std::atoi(next_value());
+            options.replications =
+                parseNumber<int>(arg, next_value(), Range::Positive);
         } else if (arg == "--seed") {
-            options.baseSeed =
-                static_cast<std::uint64_t>(std::atol(next_value()));
+            options.baseSeed = parseNumber<std::uint64_t>(
+                arg, next_value(), Range::NonNegative);
         } else if (arg == "--journal") {
             options.journalPath = next_value();
         } else if (arg == "--resume") {
@@ -177,32 +191,13 @@ main(int argc, char** argv)
             options.failurePolicy = runner::FailurePolicy::Propagate;
         } else if (isLimitFlag(arg)) {
             parseLimitFlag(arg, next_value(), options.limits);
-        } else if (arg == "--checkpoint-every") {
-            options.checkpoint.everyEvents =
-                static_cast<std::uint64_t>(std::atoll(next_value()));
-            if (options.checkpoint.dir.empty())
-                options.checkpoint.dir = "checkpoints";
-        } else if (arg == "--checkpoint-seconds") {
-            options.checkpoint.everySimSeconds =
-                std::atof(next_value());
-            if (options.checkpoint.dir.empty())
-                options.checkpoint.dir = "checkpoints";
-        } else if (arg == "--checkpoint-dir") {
-            options.checkpoint.dir = next_value();
-        } else if (arg == "--checkpoint-keep") {
-            options.checkpoint.keep = std::atoi(next_value());
-        } else if (arg == "--resume-from-snapshot") {
-            options.resumeFromSnapshot = true;
         } else if (arg.rfind("--", 0) == 0) {
             std::string message =
                 "error: unknown option \"" + arg + "\"";
             const std::string suggestion = json::suggestClosest(
                 arg, {"--jobs", "--reps", "--seed", "--journal",
                       "--resume", "--strict", "--wall-timeout",
-                      "--stall-timeout", "--max-events",
-                      "--checkpoint-every", "--checkpoint-seconds",
-                      "--checkpoint-dir", "--checkpoint-keep",
-                      "--resume-from-snapshot"});
+                      "--stall-timeout", "--max-events"});
             if (!suggestion.empty())
                 message += "; did you mean \"" + suggestion + "\"?";
             std::fprintf(stderr, "%s\n", message.c_str());
@@ -212,20 +207,32 @@ main(int argc, char** argv)
             positional.push_back(argv[i]);
         }
     }
-    if (positional.size() >= 3) {
-        lo = std::atof(positional[0]);
-        hi = std::atof(positional[1]);
-        points = std::atoi(positional[2]);
+    if (positional.size() == 1 || positional.size() == 2 ||
+        positional.size() > 4) {
+        std::fprintf(stderr,
+                     "error: expected lo hi points [duration_s] after "
+                     "<app>, got %zu positional argument(s)\n",
+                     positional.size());
+        usage(argv[0]);
+        return 1;
     }
-    if (positional.size() >= 4)
-        duration = std::atof(positional[3]);
+    if (positional.size() >= 3) {
+        lo = parseNumber<double>("lo", positional[0], Range::Positive);
+        hi = parseNumber<double>("hi", positional[1], Range::Positive);
+        points =
+            parseNumber<int>("points", positional[2], Range::Positive);
+    }
+    if (positional.size() == 4) {
+        duration = parseNumber<double>("duration_s", positional[3],
+                                       Range::Positive);
+    }
 
     try {
         runner::SweepRunner sweep_runner(options);
         sweep_runner.addSweep(
             app, linspace(lo, hi, points),
             [&](double qps, std::uint64_t seed) {
-                return makeApp(app, qps, seed, duration);
+                return makeApp(app, width, qps, seed, duration);
             });
         const std::vector<runner::ReplicatedCurve> curves =
             sweep_runner.run();
@@ -244,10 +251,6 @@ main(int argc, char** argv)
             std::cout << sweep_runner.restoredJobs()
                       << " job(s) restored from " << options.resumePath
                       << "\n";
-        }
-        if (options.resumeFromSnapshot) {
-            std::cout << sweep_runner.snapshotResumes()
-                      << " job(s) resumed from snapshots\n";
         }
         if (sweep_runner.failedJobs() > 0) {
             std::fprintf(stderr,

@@ -27,7 +27,13 @@
  * time from the replication's first event, and --stall-timeout S
  * the wall time the simulated clock may stand still.  Exit status 2
  * marks a salvaged run with failures; 1 means no usable result at
- * all, or a malformed limit value.
+ * all, or a malformed number.
+ *
+ * Every number must parse whole (cli_flags.h): --qps, --duration
+ * and --reps are positive, --warmup, --seed, --jobs and the limits
+ * non-negative, and --seed, --reps, --jobs and --max-events
+ * integers.  "--qps abc" or "--duration 0.3s" exits 1 naming the
+ * flag instead of simulating something else.
  *
  * Unknown flags and unknown JSON keys both fail with exit code 1 and
  * a did-you-mean suggestion; a typoed option must never silently
@@ -36,12 +42,12 @@
 
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <iostream>
+#include <optional>
 #include <string>
 #include <vector>
 
-#include "limit_flags.h"
+#include "cli_flags.h"
 #include "uqsim/core/sim/simulation.h"
 #include "uqsim/json/validation.h"
 #include "uqsim/runner/sweep_runner.h"
@@ -92,8 +98,8 @@ main(int argc, char** argv)
         return 1;
     }
     const std::string directory = argv[1];
-    double qps = -1.0, duration = -1.0, warmup = -1.0;
-    long seed = -1;
+    std::optional<double> qps, duration, warmup;
+    std::optional<std::uint64_t> seed;
     bool csv = false, json_out = false;
     int reps = 1, jobs = 0;
     bool strict = false;
@@ -109,21 +115,24 @@ main(int argc, char** argv)
             return argv[++i];
         };
         if (arg == "--qps") {
-            qps = std::atof(next_value());
+            qps = parseNumber<double>(arg, next_value(), Range::Positive);
         } else if (arg == "--duration") {
-            duration = std::atof(next_value());
+            duration =
+                parseNumber<double>(arg, next_value(), Range::Positive);
         } else if (arg == "--warmup") {
-            warmup = std::atof(next_value());
+            warmup = parseNumber<double>(arg, next_value(),
+                                         Range::NonNegative);
         } else if (arg == "--seed") {
-            seed = std::atol(next_value());
+            seed = parseNumber<std::uint64_t>(arg, next_value(),
+                                              Range::NonNegative);
         } else if (arg == "--csv") {
             csv = true;
         } else if (arg == "--json") {
             json_out = true;
         } else if (arg == "--reps") {
-            reps = std::atoi(next_value());
+            reps = parseNumber<int>(arg, next_value(), Range::Positive);
         } else if (arg == "--jobs") {
-            jobs = std::atoi(next_value());
+            jobs = parseNumber<int>(arg, next_value(), Range::NonNegative);
         } else if (arg == "--journal") {
             journal_path = next_value();
         } else if (arg == "--resume") {
@@ -136,29 +145,21 @@ main(int argc, char** argv)
             return rejectUnknownFlag(argv[0], arg);
         }
     }
-    if (reps < 1) {
-        std::fprintf(stderr, "error: --reps must be >= 1\n");
-        return 1;
-    }
-    if (jobs < 0) {
-        std::fprintf(stderr, "error: --jobs must be >= 0\n");
-        return 1;
-    }
 
     try {
         ConfigBundle bundle = ConfigBundle::fromDirectory(directory);
-        if (qps > 0.0) {
+        if (qps) {
             json::JsonValue load = json::JsonValue::makeObject();
             load.asObject()["type"] = "constant";
-            load.asObject()["qps"] = qps;
+            load.asObject()["qps"] = *qps;
             bundle.client.asObject()["load"] = std::move(load);
         }
-        if (duration > 0.0)
-            bundle.options.durationSeconds = duration;
-        if (warmup >= 0.0)
-            bundle.options.warmupSeconds = warmup;
-        if (seed >= 0)
-            bundle.options.seed = static_cast<std::uint64_t>(seed);
+        if (duration)
+            bundle.options.durationSeconds = *duration;
+        if (warmup)
+            bundle.options.warmupSeconds = *warmup;
+        if (seed)
+            bundle.options.seed = *seed;
 
         if (reps <= 1) {
             auto simulation = Simulation::fromBundle(bundle);
@@ -201,7 +202,7 @@ main(int argc, char** argv)
                 replicated.options.seed = rep_seed;
                 return Simulation::fromBundle(replicated);
             },
-            qps > 0.0 ? qps : 0.0, options);
+            qps.value_or(0.0), options);
         const RunReport merged = point.mergedReport();
         if (point.merged == 0) {
             std::fprintf(stderr,

@@ -96,12 +96,13 @@ class Simulation {
      */
     RunReport run();
 
-    // -- segmented (checkpointed) execution ------------------------
+    // -- segmented execution ---------------------------------------
     // run() equals any interleaving of advanceToEvents()/
     // advanceToTime() followed by one finishRun(), event for event:
     // segment boundaries never clamp the clock (Simulator::
-    // runSegment), so the trace digest is independent of where the
-    // checkpoints fall.  See snapshot/checkpoint.h.
+    // runSegment), so the trace digest is independent of where a
+    // run is paused, e.g. for a checkpoint, a restore's replay, or a
+    // sliced benchmark.  See snapshot/checkpoint.h.
 
     /**
      * Runs until @p target_events total events have executed (an

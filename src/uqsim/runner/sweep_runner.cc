@@ -212,8 +212,6 @@ struct JobSlot {
     stats::PercentileRecorder latencies;
     /** Original exception, kept for the Propagate policy. */
     std::exception_ptr raw;
-    /** The job continued from a restored snapshot. */
-    bool resumed = false;
 };
 
 JournalEntry
@@ -242,32 +240,6 @@ journalEntryFor(const JobSpec& job, const std::string& sweep_label,
         entry.events = report.events;
     }
     return entry;
-}
-
-/** Filesystem-safe job identity for per-replication snapshot
- *  prefixes: sweep labels may contain anything. */
-std::string
-sanitizeLabel(const std::string& label)
-{
-    std::string safe = label;
-    for (char& c : safe) {
-        const bool ok = (c >= 'a' && c <= 'z') ||
-                        (c >= 'A' && c <= 'Z') ||
-                        (c >= '0' && c <= '9') || c == '.' ||
-                        c == '_';
-        if (!ok)
-            c = '_';
-    }
-    return safe;
-}
-
-std::string
-snapshotPrefixFor(const snapshot::CheckpointOptions& base,
-                  const std::string& sweep_label, const JobSpec& job)
-{
-    return base.prefix + "-" + sanitizeLabel(sweep_label) + "-p" +
-           std::to_string(job.point) + "-r" +
-           std::to_string(job.replication);
 }
 
 /** Rebuilds the restorable part of a ReplicationResult from a
@@ -395,52 +367,7 @@ SweepRunner::run()
                         "simulation");
                 }
                 simulation->setRunControl(&control);
-                if (options_.checkpoint.enabled()) {
-                    snapshot::CheckpointOptions ckpt =
-                        options_.checkpoint;
-                    ckpt.prefix = snapshotPrefixFor(
-                        options_.checkpoint,
-                        sweeps_[job.sweep].label, job);
-                    if (options_.resumeFromSnapshot) {
-                        const auto found = snapshot::newestValidSnapshot(
-                            ckpt.dir, ckpt.prefix);
-                        if (found) {
-                            try {
-                                snapshot::restoreFromSnapshot(
-                                    *simulation, found->path);
-                                slot.resumed = true;
-                            } catch (const std::exception& error) {
-                                // Resume saves no wall time, so a
-                                // snapshot that fails validation is
-                                // reported and the job simply runs
-                                // fresh from a rebuilt simulation
-                                // (the failed restore may have
-                                // advanced this one).
-                                std::fprintf(
-                                    stderr,
-                                    "uqsim: snapshot %s not "
-                                    "restorable (%s); running job "
-                                    "fresh\n",
-                                    found->path.c_str(),
-                                    error.what());
-                                simulation = sweeps_[job.sweep].factory(
-                                    job.qps, job.seed);
-                                if (!simulation ||
-                                    !simulation->finalized()) {
-                                    throw std::logic_error(
-                                        "runner factory must return "
-                                        "a finalized simulation");
-                                }
-                                simulation->setRunControl(&control);
-                            }
-                        }
-                    }
-                    snapshot::CheckpointManager manager(*simulation,
-                                                        ckpt);
-                    slot.result.report = manager.run();
-                } else {
-                    slot.result.report = simulation->run();
-                }
+                slot.result.report = simulation->run();
                 slot.result.traceDigest =
                     simulation->sim().traceDigest();
                 slot.latencies = simulation->latencies();
@@ -486,8 +413,6 @@ SweepRunner::run()
     for (const JobSlot& slot : slots) {
         if (!slot.result.ok())
             ++failedJobs_;
-        if (slot.resumed)
-            ++snapshotResumes_;
     }
     if (options_.failurePolicy == FailurePolicy::Propagate) {
         for (const JobSlot& slot : slots) {

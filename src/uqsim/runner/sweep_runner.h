@@ -27,9 +27,11 @@
  * classified into the harness error taxonomy (runner/failure.h),
  * journaled, and the surviving replications of every point are
  * salvaged — their aggregates flagged degraded when short of the
- * planned replication count.  A run journal (runner/run_journal.h)
- * plus `resumePath` re-runs only failed/missing jobs with their
- * original seeds.  Each replication runs under its own RunControl
+ * planned replication count.  The run journal (runner/run_journal.h)
+ * is the one way a killed or failed sweep resumes: with `resumePath`
+ * the jobs it recorded ok are restored and only failed or missing
+ * jobs re-run, with their original seeds.  Each replication runs
+ * under its own RunControl
  * (core/engine/run_control.h), whose limits turn livelocked or
  * runaway replications into classified timeouts.
  *
@@ -49,7 +51,6 @@
 #include "uqsim/core/sim/simulation.h"
 #include "uqsim/core/sim/sweep.h"
 #include "uqsim/runner/failure.h"
-#include "uqsim/snapshot/checkpoint.h"
 #include "uqsim/stats/confidence.h"
 #include "uqsim/stats/percentile_recorder.h"
 #include "uqsim/stats/summary.h"
@@ -104,28 +105,6 @@ struct RunnerOptions {
      *  (qps, seed) are restored instead of re-simulated
      *  (empty = run everything). */
     std::string resumePath;
-    /**
-     * Mid-run checkpointing (snapshot/checkpoint.h): when enabled,
-     * every replication writes periodic snapshots under
-     * "<prefix>-<sweep>-p<point>-r<replication>", so a killed sweep
-     * can resume each in-flight job from a digest-verified snapshot.
-     * Restore replays the job from event 0, so resuming saves no
-     * wall time yet.  Checkpointing never changes results: segment
-     * boundaries do not move the clock, so trace digests match an
-     * uncheckpointed run exactly.
-     */
-    snapshot::CheckpointOptions checkpoint;
-    /**
-     * With checkpointing enabled: before simulating a job from
-     * scratch, look for its newest valid snapshot and restore from
-     * it (replay-validated).  A snapshot that fails restore is
-     * reported on stderr and the job runs fresh, as does a job whose
-     * only snapshots are of another format version (the scan skips
-     * them).  Resume verifies the replay; it saves no wall time and
-     * is never a correctness risk.  snapshotResumes() counts the
-     * jobs that did restore.
-     */
-    bool resumeFromSnapshot = false;
 };
 
 /**
@@ -248,9 +227,6 @@ class SweepRunner {
     /** After run(): jobs skipped because the resume journal already
      *  recorded them ok. */
     int restoredJobs() const { return restoredJobs_; }
-    /** After run(): jobs that continued from a restored snapshot
-     *  (resumeFromSnapshot) instead of running fresh. */
-    int snapshotResumes() const { return snapshotResumes_; }
     /** After run(): jobs that failed (by taxonomy, all kinds). */
     int failedJobs() const { return failedJobs_; }
 
@@ -275,7 +251,6 @@ class SweepRunner {
     std::vector<SweepSpec> sweeps_;
     bool ran_ = false;
     int restoredJobs_ = 0;
-    int snapshotResumes_ = 0;
     int failedJobs_ = 0;
     std::vector<std::string> resumeWarnings_;
 };

@@ -1,12 +1,8 @@
 #include "uqsim/snapshot/checkpoint.h"
 
-#include <algorithm>
-#include <cstdio>
 #include <filesystem>
 #include <stdexcept>
-#include <utility>
 
-#include "uqsim/core/engine/run_control.h"
 #include "uqsim/core/sim/audit.h"
 
 namespace uqsim {
@@ -20,34 +16,6 @@ std::string
 checkpointFileName(const std::string& prefix, std::uint64_t events)
 {
     return prefix + "-e" + std::to_string(events) + ".uqsnap";
-}
-
-/** Parses "<prefix>-e<digits>.uqsnap"; nullopt when the name does
- *  not match (foreign files in the directory are left alone). */
-std::optional<std::uint64_t>
-eventsFromFileName(const std::string& name, const std::string& prefix)
-{
-    const std::string head = prefix + "-e";
-    const std::string tail = ".uqsnap";
-    if (name.size() <= head.size() + tail.size())
-        return std::nullopt;
-    if (name.compare(0, head.size(), head) != 0)
-        return std::nullopt;
-    if (name.compare(name.size() - tail.size(), tail.size(), tail) !=
-        0) {
-        return std::nullopt;
-    }
-    const std::string digits = name.substr(
-        head.size(), name.size() - head.size() - tail.size());
-    if (digits.empty())
-        return std::nullopt;
-    std::uint64_t events = 0;
-    for (char c : digits) {
-        if (c < '0' || c > '9')
-            return std::nullopt;
-        events = events * 10 + static_cast<std::uint64_t>(c - '0');
-    }
-    return events;
 }
 
 }  // namespace
@@ -66,131 +34,6 @@ writeCheckpoint(const Simulation& simulation, const std::string& dir,
             .string();
     writeFile(path, snapshot);
     return path;
-}
-
-void
-pruneCheckpoints(const std::string& dir, const std::string& prefix,
-                 int keep)
-{
-    if (keep <= 0)
-        return;
-    std::error_code ec;
-    std::vector<std::pair<std::uint64_t, fs::path>> found;
-    for (const auto& entry : fs::directory_iterator(dir, ec)) {
-        const auto events = eventsFromFileName(
-            entry.path().filename().string(), prefix);
-        if (events)
-            found.emplace_back(*events, entry.path());
-    }
-    if (found.size() <= static_cast<std::size_t>(keep))
-        return;
-    std::sort(found.begin(), found.end());
-    const std::size_t doomed =
-        found.size() - static_cast<std::size_t>(keep);
-    for (std::size_t i = 0; i < doomed; ++i)
-        fs::remove(found[i].second, ec);
-}
-
-std::optional<FoundSnapshot>
-newestValidSnapshot(const std::string& dir, const std::string& prefix)
-{
-    std::error_code ec;
-    std::vector<std::pair<std::uint64_t, fs::path>> found;
-    for (const auto& entry : fs::directory_iterator(dir, ec)) {
-        const auto events = eventsFromFileName(
-            entry.path().filename().string(), prefix);
-        if (events)
-            found.emplace_back(*events, entry.path());
-    }
-    // Newest first so the most recent structurally valid file wins;
-    // a half-written or bit-rotted newest falls through to the next.
-    std::sort(found.begin(), found.end(),
-              [](const auto& a, const auto& b) { return b < a; });
-    for (const auto& [events, path] : found) {
-        try {
-            return FoundSnapshot{path.string(),
-                                 readFile(path.string()).meta};
-        } catch (const SnapshotError&) {
-            continue;
-        }
-    }
-    return std::nullopt;
-}
-
-CheckpointManager::CheckpointManager(Simulation& simulation,
-                                     CheckpointOptions options)
-    : simulation_(simulation), options_(std::move(options))
-{
-}
-
-void
-CheckpointManager::checkpoint()
-{
-    written_.push_back(
-        writeCheckpoint(simulation_, options_.dir, options_.prefix));
-    pruneCheckpoints(options_.dir, options_.prefix, options_.keep);
-}
-
-RunReport
-CheckpointManager::run()
-{
-    if (!options_.enabled())
-        return simulation_.run();
-    try {
-        if (options_.everyEvents > 0) {
-            while (true) {
-                const std::uint64_t target =
-                    simulation_.sim().executedEvents() +
-                    options_.everyEvents;
-                const StopReason reason =
-                    simulation_.advanceToEvents(target);
-                // Anything short of the cadence target means the run
-                // itself is over (horizon, drain, global budget).
-                if (reason != StopReason::EventLimit ||
-                    simulation_.sim().executedEvents() < target) {
-                    break;
-                }
-                checkpoint();
-            }
-        } else {
-            const SimTime period =
-                secondsToSimTime(options_.everySimSeconds);
-            const SimTime horizon = secondsToSimTime(
-                simulation_.options().durationSeconds);
-            // Absolute marks (k * period), not now+period, so the
-            // cadence does not drift with event timing.
-            SimTime mark = period;
-            while (mark < horizon) {
-                const StopReason reason =
-                    simulation_.advanceToTime(mark);
-                if (reason != StopReason::TimeLimit)
-                    break;
-                checkpoint();
-                // Segment boundaries never move the clock, so now()
-                // sits *before* the mark here; step to the next mark
-                // unconditionally (and past any marks a single long
-                // event jumped over) or the loop would re-run a
-                // zero-event segment forever.
-                do {
-                    mark += period;
-                } while (mark <= simulation_.sim().now());
-            }
-        }
-        return simulation_.finishRun();
-    } catch (const SimulationAbortError&) {
-        // Last-gasp checkpoint at the abort point: the abort was
-        // raised between events, so the state is consistent.  An
-        // I/O failure here must not mask the abort.
-        try {
-            checkpoint();
-        } catch (const std::exception& error) {
-            std::fprintf(
-                stderr,
-                "uqsim: checkpoint after abort failed: %s\n",
-                error.what());
-        }
-        throw;
-    }
 }
 
 void

@@ -3,25 +3,16 @@
 
 /**
  * @file
- * Checkpointed execution, crash recovery, and warm-state forking on
- * top of the snapshot format (snapshot.h, docs/FORMATS.md).
+ * Verified restore and warm-state forking on top of the snapshot
+ * format (snapshot.h, docs/FORMATS.md).
  *
- * CheckpointManager runs a finalized Simulation to completion while
- * writing a snapshot every N executed events or every S simulated
- * seconds.  Files land as "<dir>/<prefix>-e<events>.uqsnap" via
- * snapshot::writeFile's atomic write-then-rename, and only the newest
- * `keep` are retained.  Checkpointing rides entirely on the segmented-run API
- * (Simulation::advanceToEvents / advanceToTime), whose segment
- * boundaries never move the clock — a checkpointed run fires the
- * exact same event sequence, and therefore produces the exact same
- * trace digest, as an uncheckpointed one.
- *
- * Abort ordering: when a supervisor aborts the run cooperatively
- * (RunControl → SimulationAbortError, raised *between* events), the
- * manager writes one final checkpoint at the abort point before
- * letting the exception continue to the harness.  A failure to
- * write that last-gasp snapshot is reported on stderr but never
- * masks the abort itself.
+ * writeCheckpoint() stores a paused simulation's replay coordinates
+ * and layer folds as "<dir>/<prefix>-e<events>.uqsnap" via
+ * snapshot::writeFile's atomic write-then-rename.  Callers pause a
+ * run with the segmented-run API (Simulation::advanceToEvents /
+ * advanceToTime), whose segment boundaries never move the clock, so
+ * a run cut for a checkpoint fires the exact same event sequence,
+ * and produces the exact same trace digest, as a straight one.
  *
  * Restore is replay-validated (see snapshot.h): the caller rebuilds
  * a Simulation from the identical configuration, and
@@ -31,45 +22,20 @@
  * workload streams and/or scales the offered load — the warm-state
  * forking workflow (examples/warm_fork.cpp): many what-if
  * continuations from one validated warm state.  Every restore or
- * fork replays from event 0, so neither saves wall time.
+ * fork replays from event 0, so neither saves wall time; a killed
+ * sweep resumes from its run journal instead (runner/run_journal.h).
  */
 
 #include <cstdint>
 #include <functional>
 #include <memory>
-#include <optional>
 #include <string>
-#include <vector>
 
 #include "uqsim/core/sim/simulation.h"
 #include "uqsim/snapshot/snapshot.h"
 
 namespace uqsim {
 namespace snapshot {
-
-/** Where and how often to checkpoint. */
-struct CheckpointOptions {
-    /** Directory for snapshot files; created on first write.
-     *  Empty disables checkpointing. */
-    std::string dir;
-    /** Filename stem: "<prefix>-e<events>.uqsnap". */
-    std::string prefix = "ckpt";
-    /** Checkpoint every N executed events; 0 disables the event
-     *  cadence. */
-    std::uint64_t everyEvents = 0;
-    /** Checkpoint every S simulated seconds; 0 disables the time
-     *  cadence.  Ignored when everyEvents is set. */
-    double everySimSeconds = 0.0;
-    /** Snapshots retained per prefix; older ones are pruned after
-     *  each write.  <= 0 keeps everything. */
-    int keep = 2;
-
-    bool enabled() const
-    {
-        return !dir.empty() &&
-               (everyEvents > 0 || everySimSeconds > 0.0);
-    }
-};
 
 /**
  * Writes @p simulation's replay coordinates and layer folds
@@ -79,60 +45,6 @@ struct CheckpointOptions {
 std::string writeCheckpoint(const Simulation& simulation,
                             const std::string& dir,
                             const std::string& prefix);
-
-/** Deletes all but the newest @p keep "<prefix>-e*.uqsnap" files in
- *  @p dir (newest = highest event count).  @p keep <= 0 is a no-op. */
-void pruneCheckpoints(const std::string& dir,
-                      const std::string& prefix, int keep);
-
-/** A structurally valid on-disk snapshot. */
-struct FoundSnapshot {
-    std::string path;
-    SnapshotMeta meta;
-};
-
-/**
- * Scans @p dir for "<prefix>-e*.uqsnap" files and returns the one
- * with the highest executed-event count that decodes (magics, CRC,
- * version, size).  Corrupt or truncated files, and files of another
- * format version, are skipped, never fatal.  Empty when nothing
- * valid is found.
- */
-std::optional<FoundSnapshot>
-newestValidSnapshot(const std::string& dir,
-                    const std::string& prefix);
-
-/**
- * Runs a finalized Simulation to completion with periodic
- * checkpoints; see the file comment for cadence, retention, and
- * abort ordering.  With options.enabled() false this degenerates to
- * exactly Simulation::run().
- */
-class CheckpointManager {
-  public:
-    CheckpointManager(Simulation& simulation,
-                      CheckpointOptions options);
-
-    /**
-     * Runs to the configured duration, checkpointing on the way,
-     * and returns the final report.  On SimulationAbortError a
-     * final checkpoint is written before the exception propagates.
-     */
-    RunReport run();
-
-    /** Paths written so far, oldest first (pruned files included). */
-    const std::vector<std::string>& written() const
-    {
-        return written_;
-    }
-
-  private:
-    void checkpoint();
-
-    Simulation& simulation_;
-    CheckpointOptions options_;
-    std::vector<std::string> written_;
-};
 
 /**
  * Replay-validated restore of @p path into @p simulation, which must

@@ -2,9 +2,9 @@
  * @file
  * Tests for the harness robustness layer: the failure taxonomy,
  * crash-isolated sweeps with partial-result salvage, the run
- * journal and --resume semantics, the per-run limits (event
- * budget, wall timeout, stall window), and the engine invariant
- * auditor.
+ * journal and --resume semantics (down to a SIGKILL'd sweep resumed
+ * from its journal), the per-run limits (event budget, wall timeout,
+ * stall window), and the engine invariant auditor.
  */
 
 #include <gtest/gtest.h>
@@ -12,7 +12,6 @@
 #include <atomic>
 #include <chrono>
 #include <cstdio>
-#include <filesystem>
 #include <fstream>
 #include <stdexcept>
 #include <string>
@@ -35,7 +34,6 @@
 #include "uqsim/runner/failure.h"
 #include "uqsim/runner/run_journal.h"
 #include "uqsim/runner/sweep_runner.h"
-#include "uqsim/snapshot/checkpoint.h"
 
 namespace uqsim {
 namespace {
@@ -803,45 +801,61 @@ TEST(Auditor, ReportsDescribeAndRaise)
 }
 
 // ---------------------------------------------------------------------
-// Crash recovery end to end: SIGKILL a checkpointing run, resume
+// Crash recovery end to end: SIGKILL a journaling sweep, resume
 
 #if defined(__unix__) || defined(__APPLE__)
 
 /**
  * The real crash scenario, not a stand-in: a child process runs a
- * checkpointing simulation and SIGKILLs *itself* mid-flight (no
+ * journaling sweep and SIGKILLs *itself* inside its third job (no
  * atexit, no unwinding, exactly what `kill -9` or the OOM killer
- * does).  The parent then recovers from the on-disk snapshots alone
- * and must reach a bit-identical final digest.
+ * does).  The journal lines of the two finished jobs must already be
+ * on disk, so the parent resumes from the journal alone, re-runs
+ * only the killed job, and must reach a clean sweep's digests.
  */
-TEST(CrashRecovery, SigkilledRunResumesFromSnapshotBitIdentically)
+TEST(CrashRecovery, SigkilledSweepResumesFromJournalBitIdentically)
 {
-    namespace fs = std::filesystem;
-    const std::string dir = "harness_sigkill_ckpt_dir";
-    std::error_code ignored;
-    fs::remove_all(dir, ignored);
-
-    const auto factory = [] { return makeThrift(1500.0, 33); };
+    FileJanitor janitor;
+    const std::string killed = janitor.track(tempPath("killed"));
+    const std::string resumed_path = janitor.track(tempPath("resumed"));
+    const std::vector<double> loads = {1000.0, 1500.0, 2000.0};
+    const auto digestsOf =
+        [](const std::vector<runner::ReplicatedCurve>& curves) {
+            std::vector<std::uint64_t> digests;
+            for (const runner::ReplicatedPoint& point : curves[0].points) {
+                for (const runner::ReplicationResult& rep :
+                     point.replications) {
+                    EXPECT_TRUE(rep.ok()) << rep.error;
+                    digests.push_back(rep.traceDigest);
+                }
+            }
+            return digests;
+        };
 
     const pid_t child = fork();
     ASSERT_GE(child, 0) << "fork failed";
     if (child == 0) {
-        // Child: single-threaded simulation, checkpoints every 2000
-        // events, killed without warning once past 6500 events (by
-        // which point checkpoints at 2000/4000/6000 are on disk).
-        auto simulation = factory();
-        Simulation* raw = simulation.get();
-        simulation->setCompletionListener([raw](const Job&, double) {
-            if (raw->sim().executedEvents() > 6500)
-                ::raise(SIGKILL);
-        });
-        snapshot::CheckpointOptions options;
-        options.dir = dir;
-        options.prefix = "job";
-        options.everyEvents = 2000;
-        snapshot::CheckpointManager manager(*simulation, options);
-        manager.run();
-        // Reached only when the run finished before the kill
+        // Child: one worker, so the jobs run in grid order and the
+        // first two are journaled before the third starts.
+        runner::RunnerOptions options;
+        options.jobs = 1;
+        options.journalPath = killed;
+        runner::SweepRunner sweep_runner(options);
+        sweep_runner.addSweep(
+            "grid", loads, [&](double qps, std::uint64_t seed) {
+                auto simulation = makeThrift(qps, seed);
+                if (qps == loads.back()) {
+                    Simulation* raw = simulation.get();
+                    simulation->setCompletionListener(
+                        [raw](const Job&, double) {
+                            if (raw->sim().executedEvents() > 5000)
+                                ::raise(SIGKILL);
+                        });
+                }
+                return simulation;
+            });
+        sweep_runner.run();
+        // Reached only when the third job finished before the kill
         // threshold; the parent will fail on WIFSIGNALED then.
         std::_Exit(0);
     }
@@ -852,21 +866,27 @@ TEST(CrashRecovery, SigkilledRunResumesFromSnapshotBitIdentically)
         << "child was not killed - raise the workload";
     EXPECT_EQ(WTERMSIG(status), SIGKILL);
 
-    // Recovery sees only the files the kill left behind.
-    const auto found = snapshot::newestValidSnapshot(dir, "job");
-    ASSERT_TRUE(found.has_value());
-    EXPECT_GE(found->meta.executedEvents, 4000u);
+    // Recovery sees only the journal lines the kill left behind.
+    runner::RunnerOptions options;
+    options.journalPath = resumed_path;
+    options.resumePath = killed;
+    runner::SweepRunner resumed(options);
+    resumed.addSweep("grid", loads, thriftFactory());
+    const std::vector<std::uint64_t> resumed_digests =
+        digestsOf(resumed.run());
+    EXPECT_EQ(resumed.restoredJobs(), 2);
+    EXPECT_TRUE(resumed.resumeWarnings().empty());
 
-    auto resumed = factory();
-    snapshot::restoreFromSnapshot(*resumed, found->path);
-    resumed->finishRun();
+    runner::SweepRunner clean{runner::RunnerOptions{}};
+    clean.addSweep("grid", loads, thriftFactory());
+    EXPECT_EQ(resumed_digests, digestsOf(clean.run()));
 
-    auto reference = factory();
-    reference->run();
-    EXPECT_EQ(resumed->sim().traceDigest(),
-              reference->sim().traceDigest());
-
-    fs::remove_all(dir, ignored);
+    // The resumed run's journal is complete on its own.
+    const runner::JournalIndex index =
+        runner::JournalIndex::load(resumed_path);
+    EXPECT_EQ(index.entries.size(), loads.size());
+    for (const auto& [key, entry] : index.entries)
+        EXPECT_TRUE(entry.ok()) << key;
 }
 
 #endif  // __unix__ || __APPLE__

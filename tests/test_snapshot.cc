@@ -5,9 +5,9 @@
  * bit flips, version and size gating, layer-fold mismatches), the
  * segmented-run determinism contract (checkpoint placement is
  * invisible to the event stream), replay-validated restore under
- * faults / FlowModel routing / disk I/O, crash recovery
- * (newestValidSnapshot, retention, abort-then-checkpoint ordering),
- * and warm-state forking.
+ * faults / FlowModel routing / disk I/O, and warm-state forking.
+ * A killed sweep resumes from its run journal, not from snapshots;
+ * test_harness covers that.
  */
 
 #include <gtest/gtest.h>
@@ -22,11 +22,9 @@
 #include <string>
 #include <vector>
 
-#include "uqsim/core/engine/run_control.h"
 #include "uqsim/json/json_parser.h"
 #include "uqsim/models/applications.h"
 #include "uqsim/models/stage_presets.h"
-#include "uqsim/runner/sweep_runner.h"
 #include "uqsim/snapshot/checkpoint.h"
 #include "uqsim/snapshot/snapshot.h"
 
@@ -334,8 +332,6 @@ TEST(SnapshotFormat, VersionOneFileNamesBothVersions)
         EXPECT_NE(what.find("version 1"), std::string::npos) << what;
         EXPECT_NE(what.find("version 2"), std::string::npos) << what;
     }
-    // The resume scan skips it, so its job runs fresh.
-    EXPECT_FALSE(snapshot::newestValidSnapshot(dir, "job").has_value());
 }
 
 TEST(SnapshotFormat, LayerMismatchNamesTheLayerAndBothValues)
@@ -554,199 +550,6 @@ TEST(CheckpointDeterminism, ConfigOrSeedDriftIsAHardError)
     stale->advanceToEvents(100);
     EXPECT_THROW(snapshot::restoreFromSnapshot(*stale, path),
                  std::logic_error);
-}
-
-// ---------------------------------------------------------------------
-// Crash recovery: discovery, retention, abort ordering
-
-TEST(CheckpointRecovery, NewestValidSnapshotSkipsCorruptFiles)
-{
-    DirJanitor janitor;
-    const std::string dir = janitor.track(tempDir("scan"));
-    auto simulation = makeTwoTier(4000.0, 2);
-    simulation->advanceToEvents(3000);
-    const std::string older =
-        snapshot::writeCheckpoint(*simulation, dir, "job");
-    simulation->advanceToEvents(6000);
-    const std::string newer =
-        snapshot::writeCheckpoint(*simulation, dir, "job");
-
-    auto found = snapshot::newestValidSnapshot(dir, "job");
-    ASSERT_TRUE(found.has_value());
-    EXPECT_EQ(found->path, newer);
-
-    // Truncate the newest: the scan must fall back to the older one.
-    {
-        std::ifstream in(newer, std::ios::binary);
-        std::vector<char> bytes((std::istreambuf_iterator<char>(in)),
-                                std::istreambuf_iterator<char>());
-        std::ofstream out(newer,
-                          std::ios::binary | std::ios::trunc);
-        out.write(bytes.data(),
-                  static_cast<std::streamsize>(bytes.size() / 2));
-    }
-    found = snapshot::newestValidSnapshot(dir, "job");
-    ASSERT_TRUE(found.has_value());
-    EXPECT_EQ(found->path, older);
-
-    // Corrupt that one too: nothing valid remains.
-    {
-        std::ofstream out(older, std::ios::binary | std::ios::trunc);
-        out << "not a snapshot";
-    }
-    EXPECT_FALSE(snapshot::newestValidSnapshot(dir, "job")
-                     .has_value());
-    // Other prefixes never match.
-    EXPECT_FALSE(snapshot::newestValidSnapshot(dir, "other")
-                     .has_value());
-}
-
-TEST(CheckpointRecovery, ManagerRetainsOnlyNewestK)
-{
-    DirJanitor janitor;
-    const std::string dir = janitor.track(tempDir("keep"));
-    auto simulation = makeTwoTier(4000.0, 4);
-    snapshot::CheckpointOptions options;
-    options.dir = dir;
-    options.prefix = "job";
-    options.everyEvents = 1500;
-    options.keep = 2;
-    snapshot::CheckpointManager manager(*simulation, options);
-    const RunReport report = manager.run();
-    EXPECT_GT(report.completed, 0u);
-    ASSERT_GE(manager.written().size(), 3u)
-        << "cadence too coarse for the retention test";
-
-    std::vector<std::string> remaining;
-    for (const fs::directory_entry& entry :
-         fs::directory_iterator(dir))
-        remaining.push_back(entry.path().filename().string());
-    ASSERT_EQ(remaining.size(), 2u);
-    // The survivors are exactly the newest two written.
-    const std::vector<std::string>& written = manager.written();
-    for (std::size_t i = written.size() - 2; i < written.size(); ++i)
-        EXPECT_TRUE(fs::exists(written[i])) << written[i];
-    for (std::size_t i = 0; i + 2 < written.size(); ++i)
-        EXPECT_FALSE(fs::exists(written[i])) << written[i];
-
-    // A checkpointed run is still bit-identical.
-    EXPECT_EQ(simulation->sim().traceDigest(),
-              straightThroughDigest([] {
-                  return makeTwoTier(4000.0, 4);
-              }));
-}
-
-TEST(CheckpointRecovery, TimeCadenceCheckpointsAndStaysDeterministic)
-{
-    DirJanitor janitor;
-    const std::string dir = janitor.track(tempDir("timecad"));
-    auto simulation = makeTwoTier(4000.0, 6);
-    snapshot::CheckpointOptions options;
-    options.dir = dir;
-    options.prefix = "job";
-    options.everySimSeconds = 0.2;
-    options.keep = 0;  // keep everything
-    snapshot::CheckpointManager manager(*simulation, options);
-    manager.run();
-    // 0.8 s horizon / 0.2 s cadence: marks at 0.2, 0.4, 0.6.
-    EXPECT_GE(manager.written().size(), 3u);
-    EXPECT_EQ(simulation->sim().traceDigest(),
-              straightThroughDigest([] {
-                  return makeTwoTier(4000.0, 6);
-              }));
-}
-
-TEST(CheckpointRecovery, AbortWritesFinalCheckpointThatResumes)
-{
-    DirJanitor janitor;
-    const std::string dir = janitor.track(tempDir("abort"));
-    const auto factory = [] { return makeTwoTier(4000.0, 8); };
-    const std::uint64_t reference = straightThroughDigest(factory);
-
-    auto aborted = factory();
-    RunControl control;
-    aborted->setRunControl(&control);
-    std::uint64_t completions = 0;
-    aborted->setCompletionListener([&](const Job&, double) {
-        if (++completions == 200)
-            control.requestAbort(AbortReason::External);
-    });
-    snapshot::CheckpointOptions options;
-    options.dir = dir;
-    options.prefix = "job";
-    options.everyEvents = 1u << 30;  // only the abort checkpoint
-    snapshot::CheckpointManager manager(*aborted, options);
-    EXPECT_THROW(manager.run(), SimulationAbortError);
-    ASSERT_EQ(manager.written().size(), 1u);
-
-    // The abort-point snapshot restores and runs to a bit-identical
-    // finish — a SIGKILL'd-harness stand-in at the API level (the
-    // process-level SIGKILL test lives in test_harness).
-    auto found = snapshot::newestValidSnapshot(dir, "job");
-    ASSERT_TRUE(found.has_value());
-    EXPECT_EQ(found->meta.executedEvents,
-              aborted->sim().executedEvents());
-    auto resumed = factory();
-    snapshot::restoreFromSnapshot(*resumed, found->path);
-    resumed->finishRun();
-    EXPECT_EQ(resumed->sim().traceDigest(), reference);
-}
-
-// ---------------------------------------------------------------------
-// Runner integration: digests invariant across jobs and resume
-
-TEST(CheckpointRunner, DigestsInvariantAcrossJobsAndSnapshotResume)
-{
-    DirJanitor janitor;
-    const std::string dir = janitor.track(tempDir("grid"));
-    const auto factory = [](double qps, std::uint64_t seed) {
-        models::ThriftEchoParams params;
-        params.run.qps = qps;
-        params.run.seed = seed;
-        params.run.warmupSeconds = 0.2;
-        params.run.durationSeconds = 0.8;
-        return Simulation::fromBundle(
-            models::thriftEchoBundle(params));
-    };
-    const std::vector<double> loads = {800.0, 1400.0};
-
-    int resumes = -1;
-    const auto digestsOf =
-        [&](int jobs, bool checkpoint,
-            bool resume) -> std::vector<std::uint64_t> {
-        runner::RunnerOptions options;
-        options.jobs = jobs;
-        options.replications = 2;
-        if (checkpoint) {
-            options.checkpoint.dir = dir;
-            options.checkpoint.everyEvents = 2000;
-        }
-        options.resumeFromSnapshot = resume;
-        runner::SweepRunner sweep(options);
-        sweep.addSweep("thrift", loads, factory);
-        std::vector<std::uint64_t> digests;
-        for (const runner::ReplicatedCurve& curve : sweep.run())
-            for (const runner::ReplicatedPoint& point : curve.points)
-                for (const runner::ReplicationResult& rep :
-                     point.replications) {
-                    EXPECT_TRUE(rep.ok()) << rep.error;
-                    digests.push_back(rep.traceDigest);
-                }
-        resumes = sweep.snapshotResumes();
-        return digests;
-    };
-
-    const std::vector<std::uint64_t> baseline =
-        digestsOf(1, false, false);
-    ASSERT_EQ(baseline.size(), 4u);
-    EXPECT_EQ(digestsOf(2, true, false), baseline);
-    EXPECT_EQ(digestsOf(8, true, false), baseline);
-    // Resume from the snapshots the previous runs left behind:
-    // restore replays to the pin and continues bit-identically.
-    EXPECT_EQ(digestsOf(2, true, true), baseline);
-    // A failed restore also falls back to a fresh run with the same
-    // digests; the resume count shows that every job did restore.
-    EXPECT_EQ(resumes, 4);
 }
 
 // ---------------------------------------------------------------------
