@@ -19,8 +19,12 @@ namespace {
 SweepCurve
 sweepConfig(int nginx_workers, int memcached_threads)
 {
-    const std::string label = "n" + std::to_string(nginx_workers) +
-                              "mc" + std::to_string(memcached_threads);
+    // Appended piece by piece: GCC 12 at -O3 misreads "n" + ... as
+    // an overlapping memcpy (-Wrestrict).
+    std::string label = "n";
+    label += std::to_string(nginx_workers);
+    label += "mc";
+    label += std::to_string(memcached_threads);
     // One shared load grid so the printed rows align across configs.
     return bench::parallelSweep(
         label, linspace(8000.0, 88000.0, 11),

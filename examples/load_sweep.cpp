@@ -242,9 +242,7 @@ main(int argc, char** argv)
         const SweepCurve curve = curves.front().toSweepCurve();
         if (options.replications <= 1)
             std::cout << formatSweepTable({curve});
-        std::cout << "saturation ~" << curve.saturationQps()
-                  << " qps, p99 before saturation "
-                  << curve.tailBeforeSaturationMs() << " ms ("
+        std::cout << formatSaturation(curve) << " ("
                   << sweep_runner.effectiveJobs() << " jobs, "
                   << options.replications << " replication(s))\n";
         if (sweep_runner.restoredJobs() > 0) {

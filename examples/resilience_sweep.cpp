@@ -96,8 +96,15 @@ fanoutBundle(int fanout, double qps, std::uint64_t seed,
             pools += ", ";
             policies += ", ";
         }
-        pools += "\"" + leafName(shard) + "\": 32";
-        policies += "\"" + leafName(shard) + "\": " + policy;
+        // Appended piece by piece: GCC 12 at -O3 misreads "\"" + ...
+        // as an overlapping memcpy (-Wrestrict).
+        pools += '"';
+        pools += leafName(shard);
+        pools += "\": 32";
+        policies += '"';
+        policies += leafName(shard);
+        policies += "\": ";
+        policies += policy;
     }
     std::string graph =
         R"({"services": [{"service": "coordinator",)"

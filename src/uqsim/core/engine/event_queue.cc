@@ -1,6 +1,7 @@
 #include "uqsim/core/engine/event_queue.h"
 
 #include <algorithm>
+#include <stdexcept>
 #include <string>
 
 #include "uqsim/snapshot/snapshot.h"
@@ -11,9 +12,16 @@ std::uint32_t
 EventQueue::acquireSlot()
 {
     if (freeList_.empty()) {
+        if (poolCapacity() + kSlabSize > kSlotLimit) {
+            throw std::length_error(
+                "event queue: more than " + std::to_string(kSlotLimit) +
+                " events pending at once (heap keys hold " +
+                std::to_string(kSlotBits) + "-bit slot indices)");
+        }
         const std::uint32_t base =
             static_cast<std::uint32_t>(slabs_.size() * kSlabSize);
         slabs_.push_back(std::make_unique<Slot[]>(kSlabSize));
+        marks_.resize(poolCapacity());
         freeList_.reserve(kSlabSize);
         // Reversed so the lowest index is handed out first.
         for (std::size_t i = kSlabSize; i-- > 0;) {
@@ -29,11 +37,20 @@ EventQueue::acquireSlot()
 void
 EventQueue::releaseSlot(std::uint32_t index)
 {
-    Slot& s = *slotPtr(index);
-    s.action.reset();
-    s.heapIndex = kFreeIndex;
-    ++s.generation;
+    slotPtr(index)->action.reset();
+    SlotMark& mark = marks_[index];
+    mark.heapIndex = kFreeIndex;
+    ++mark.generation;
     freeList_.push_back(index);
+}
+
+void
+EventQueue::throwSequenceLimit()
+{
+    throw std::length_error(
+        "event queue: all " + std::to_string(kSequenceLimit) +
+        " sequence numbers are used (heap keys hold " +
+        std::to_string(64 - kSlotBits) + "-bit sequence numbers)");
 }
 
 std::vector<std::string>
@@ -49,34 +66,37 @@ EventQueue::auditCheck() const
                 "heap order violated at position " +
                 std::to_string(pos) + ": child (t=" +
                 std::to_string(heap_[pos].when) + ", seq=" +
-                std::to_string(heap_[pos].sequence) +
+                std::to_string(heap_[pos].sequence()) +
                 ") sorts before its parent");
         }
     }
 
-    // Back-pointers: a heap entry and its slot must agree.
+    // Positions: a heap entry and its slot's mark must agree, and
+    // its sequence number must have been handed out.
     for (std::size_t pos = 0; pos < heap_.size(); ++pos) {
         const HeapEntry& entry = heap_[pos];
-        if (entry.slot >= poolCapacity()) {
+        const std::uint32_t slot = slotOf(entry.key);
+        if (slot >= poolCapacity()) {
             violations.push_back("heap entry at position " +
                                  std::to_string(pos) +
                                  " names slot " +
-                                 std::to_string(entry.slot) +
+                                 std::to_string(slot) +
                                  " beyond the pool capacity");
             continue;
         }
-        const Slot& s = *slotPtr(entry.slot);
-        if (s.heapIndex != static_cast<std::int32_t>(pos)) {
+        if (marks_[slot].heapIndex != static_cast<std::int32_t>(pos)) {
             violations.push_back(
-                "slot " + std::to_string(entry.slot) +
-                " back-pointer is " + std::to_string(s.heapIndex) +
+                "slot " + std::to_string(slot) + " heap position is " +
+                std::to_string(marks_[slot].heapIndex) +
                 " but the slot sits at heap position " +
                 std::to_string(pos));
         }
-        if (s.when != entry.when || s.sequence != entry.sequence) {
+        if (entry.sequence() >= nextSequence_) {
             violations.push_back(
-                "slot " + std::to_string(entry.slot) +
-                " payload (t, seq) disagrees with its heap entry");
+                "slot " + std::to_string(slot) + " sequence " +
+                std::to_string(entry.sequence()) +
+                " was never assigned (counter at " +
+                std::to_string(nextSequence_) + ")");
         }
     }
 
@@ -85,12 +105,10 @@ EventQueue::auditCheck() const
     // events, so an executing slot here is a leaked FiredEvent.
     std::size_t executing = 0;
     std::size_t marked_free = 0;
-    for (std::uint32_t index = 0;
-         index < static_cast<std::uint32_t>(poolCapacity()); ++index) {
-        const Slot& s = *slotPtr(index);
-        if (s.heapIndex == kExecutingIndex)
+    for (const SlotMark& mark : marks_) {
+        if (mark.heapIndex == kExecutingIndex)
             ++executing;
-        else if (s.heapIndex == kFreeIndex)
+        else if (mark.heapIndex == kFreeIndex)
             ++marked_free;
     }
     if (executing > 0) {
@@ -153,11 +171,11 @@ EventQueue::popTie(std::size_t k)
             const HeapEntry& entry = heap_[pos];
             if (entry.when != front)
                 continue;
-            if (have_floor && entry.sequence <= floor_seq)
+            if (have_floor && entry.sequence() <= floor_seq)
                 continue;
             if (chosen_pos == heap_.size() ||
-                entry.sequence < chosen_seq) {
-                chosen_seq = entry.sequence;
+                entry.sequence() < chosen_seq) {
+                chosen_seq = entry.sequence();
                 chosen_pos = pos;
             }
         }
@@ -166,10 +184,10 @@ EventQueue::popTie(std::size_t k)
         floor_seq = chosen_seq;
         have_floor = true;
     }
-    const std::uint32_t slot = heap_[chosen_pos].slot;
+    const HeapEntry chosen = heap_[chosen_pos];
     heapRemoveAt(chosen_pos);
-    slotPtr(slot)->heapIndex = kExecutingIndex;
-    return FiredEvent(this, slot);
+    marks_[slotOf(chosen.key)].heapIndex = kExecutingIndex;
+    return FiredEvent(this, chosen.when, chosen.key);
 }
 
 std::uint64_t
@@ -179,7 +197,7 @@ EventQueue::pendingStateHash() const
     constexpr std::uint64_t kFnvPrime = 0x100000001B3ULL;
     std::uint64_t h = 0x9E3779B97F4A7C15ULL;
     for (const HeapEntry& entry : heap_) {
-        const Slot& s = *slotPtr(entry.slot);
+        const Slot& s = *slotPtr(slotOf(entry.key));
         // Hash the label by content: literal addresses are not
         // stable enough to compare fingerprints across schedules.
         std::uint64_t label = kFnvOffset;
@@ -224,24 +242,21 @@ EventQueue::foldState(snapshot::Digest& digest) const
               });
     for (const HeapEntry* entry : sorted) {
         digest.i64(entry->when);
-        digest.u64(entry->sequence);
-        digest.str(slotPtr(entry->slot)->label);
+        digest.u64(entry->sequence());
+        digest.str(slotPtr(slotOf(entry->key))->label);
     }
     // Slot-index order: slot allocation is deterministic under
     // replay, so generation counters (and with them every live
     // EventHandle's validity) replay exactly.
-    for (std::uint32_t index = 0;
-         index < static_cast<std::uint32_t>(poolCapacity()); ++index) {
-        digest.u32(slotPtr(index)->generation);
-    }
+    for (const SlotMark& mark : marks_)
+        digest.u32(mark.generation);
 }
 
 void
-EventQueue::heapPush(std::uint32_t slot, SimTime when,
-                     std::uint64_t sequence)
+EventQueue::heapPush(HeapEntry entry)
 {
-    heap_.push_back(HeapEntry{when, sequence, slot});
-    siftUp(heap_.size() - 1, heap_.back());
+    heap_.push_back(entry);
+    siftUp(heap_.size() - 1, entry);
 }
 
 void
@@ -263,8 +278,7 @@ EventQueue::heapRemoveAt(std::size_t pos)
     // The replacement may belong above or below the vacated
     // position; try both directions (one is a no-op).
     siftDown(pos, last);
-    pos = static_cast<std::size_t>(
-        slotPtr(last.slot)->heapIndex);
+    pos = static_cast<std::size_t>(marks_[slotOf(last.key)].heapIndex);
     siftUp(pos, heap_[pos]);
 }
 
@@ -289,11 +303,11 @@ EventQueue::siftUp(std::size_t pos, HeapEntry moving)
         if (p.before(moving))
             break;
         heap_[pos] = p;
-        slotPtr(p.slot)->heapIndex = static_cast<std::int32_t>(pos);
+        marks_[slotOf(p.key)].heapIndex = static_cast<std::int32_t>(pos);
         pos = parent;
     }
     heap_[pos] = moving;
-    slotPtr(moving.slot)->heapIndex = static_cast<std::int32_t>(pos);
+    marks_[slotOf(moving.key)].heapIndex = static_cast<std::int32_t>(pos);
 }
 
 void
@@ -313,12 +327,12 @@ EventQueue::siftDown(std::size_t pos, HeapEntry moving)
         if (moving.before(heap_[best]))
             break;
         heap_[pos] = heap_[best];
-        slotPtr(heap_[pos].slot)->heapIndex =
+        marks_[slotOf(heap_[pos].key)].heapIndex =
             static_cast<std::int32_t>(pos);
         pos = best;
     }
     heap_[pos] = moving;
-    slotPtr(moving.slot)->heapIndex = static_cast<std::int32_t>(pos);
+    marks_[slotOf(moving.key)].heapIndex = static_cast<std::int32_t>(pos);
 }
 
 }  // namespace uqsim

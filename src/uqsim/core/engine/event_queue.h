@@ -8,18 +8,22 @@
  * All events are stored in increasing time order; every simulation
  * cycle the queue manager pops the earliest event (paper §III-A).
  *
- * Structure: event payloads live in fixed-size slots carved from
- * slab allocations (addresses stable for the queue's lifetime) and
- * recycled through a free list, so steady-state scheduling touches
- * no allocator.  The ready order is a 4-ary min-heap of (when,
- * sequence, slot) entries — comparisons stay within the contiguous
- * heap array, and the shallower tree beats a binary heap on the
- * sift-down-heavy pop/cancel mix.  Every slot stores its heap
- * position, so cancellation removes the entry in O(log n) instead
- * of the old lazy cancelled-flag purge; a cancelled slot is
- * recycled immediately.  rekey() moves a pending event to a new time
- * with one in-place sift, keeping its slot and closure; the outcome
- * is the one cancel() plus schedule() would give.
+ * Structure: event payloads (closure and label) live in fixed-size
+ * slots carved from slab allocations (addresses stable for the
+ * queue's lifetime) and recycled through a free list, so
+ * steady-state scheduling touches no allocator.  The ready order is
+ * a 4-ary min-heap of 16-byte entries: the firing time, then one key
+ * word `sequence << 24 | slot`.  Sequence numbers are unique, so the
+ * key orders ties by sequence alone and the slot never decides
+ * order.  Each slot's heap position and generation sit in a dense
+ * array beside the heap, so a sift, a re-key or a pending() check
+ * touches only the heap and that array, never a slot.  Cancellation
+ * removes the entry in O(log n) and recycles its slot at once.
+ * rekey() moves a pending event to a new time with one in-place
+ * sift, keeping its slot and closure; the outcome is the one
+ * cancel() plus schedule() would give.  The key packing bounds a
+ * queue to 2^40 sequence numbers and 2^24 slots; past either it
+ * throws std::length_error.
  */
 
 #include <cstddef>
@@ -55,14 +59,13 @@ class EventQueue {
     EventHandle
     schedule(SimTime when, F&& action, const char* label = "callback")
     {
+        requireSequence();
         const std::uint32_t index = acquireSlot();
         Slot& s = *slotPtr(index);
         s.action = EventAction(std::forward<F>(action));
-        s.when = when;
-        s.sequence = nextSequence_++;
         s.label = label;
-        heapPush(index, when, s.sequence);
-        return EventHandle(this, index, s.generation);
+        heapPush(HeapEntry{when, takeKey(index)});
+        return EventHandle(this, index, marks_[index].generation);
     }
 
     /**
@@ -82,15 +85,13 @@ class EventQueue {
     {
         if (handle.queue_ != this)
             return false;
-        Slot& s = *slotPtr(handle.slot_);
-        if (s.generation != handle.generation_ || s.heapIndex < 0)
+        SlotMark& mark = marks_[handle.slot_];
+        if (mark.generation != handle.generation_ || mark.heapIndex < 0)
             return false;
-        const HeapEntry old{s.when, s.sequence, handle.slot_};
-        s.when = when;
-        s.sequence = nextSequence_++;
-        handle.generation_ = ++s.generation;
-        heapRekey(static_cast<std::size_t>(s.heapIndex), old,
-                  HeapEntry{when, s.sequence, handle.slot_});
+        requireSequence();
+        const auto pos = static_cast<std::size_t>(mark.heapIndex);
+        handle.generation_ = ++mark.generation;
+        heapRekey(pos, heap_[pos], HeapEntry{when, takeKey(handle.slot_)});
         return true;
     }
 
@@ -121,13 +122,13 @@ class EventQueue {
     class FiredEvent {
       public:
         FiredEvent() = default;
-        FiredEvent(EventQueue* queue, std::uint32_t slot)
-            : queue_(queue), slot_(slot)
+        FiredEvent(EventQueue* queue, SimTime when, std::uint64_t key)
+            : queue_(queue), when_(when), key_(key)
         {
         }
 
         FiredEvent(FiredEvent&& other) noexcept
-            : queue_(other.queue_), slot_(other.slot_)
+            : queue_(other.queue_), when_(other.when_), key_(other.key_)
         {
             other.queue_ = nullptr;
         }
@@ -139,29 +140,27 @@ class EventQueue {
         ~FiredEvent()
         {
             if (queue_ != nullptr)
-                queue_->releaseSlot(slot_);
+                queue_->releaseSlot(slotOf(key_));
         }
 
         explicit operator bool() const { return queue_ != nullptr; }
 
-        SimTime when() const { return queue_->slotPtr(slot_)->when; }
-        std::uint64_t
-        sequence() const
-        {
-            return queue_->slotPtr(slot_)->sequence;
-        }
+        SimTime when() const { return when_; }
+        std::uint64_t sequence() const { return key_ >> kSlotBits; }
         const char*
         label() const
         {
-            return queue_->slotPtr(slot_)->label;
+            return queue_->slotPtr(slotOf(key_))->label;
         }
 
         /** Runs the event's action. */
-        void invoke() { queue_->slotPtr(slot_)->action(); }
+        void invoke() { queue_->slotPtr(slotOf(key_))->action(); }
 
       private:
         EventQueue* queue_ = nullptr;
-        std::uint32_t slot_ = 0;
+        SimTime when_ = 0;
+        /** The popped heap entry's key. */
+        std::uint64_t key_ = 0;
     };
 
     /** Removes and returns the earliest event; false-y when empty. */
@@ -170,10 +169,10 @@ class EventQueue {
     {
         if (heap_.empty())
             return FiredEvent();
-        const std::uint32_t top = heap_.front().slot;
+        const HeapEntry top = heap_.front();
         heapRemoveTop();
-        slotPtr(top)->heapIndex = kExecutingIndex;
-        return FiredEvent(this, top);
+        marks_[slotOf(top.key)].heapIndex = kExecutingIndex;
+        return FiredEvent(this, top.when, top.key);
     }
 
     // Exploration support (not on the default hot path) --------------
@@ -217,7 +216,8 @@ class EventQueue {
      * Re-derives the queue's bookkeeping and cross-checks it
      * (engine invariant auditor):
      *   - 4-ary heap ordering on (when, sequence),
-     *   - slot back-pointer consistency (heap entry <-> slot),
+     *   - position consistency (heap entry <-> slot's heap index),
+     *     and every entry's sequence below the counter,
      *   - pool accounting: pending + free == capacity, with no slot
      *     stuck in the "executing" state (a leaked FiredEvent).
      * Returns one message per violation; empty when consistent.
@@ -249,14 +249,14 @@ class EventQueue {
     bool
     cancelSlot(std::uint32_t index, std::uint32_t generation)
     {
-        Slot& s = *slotPtr(index);
-        if (s.generation != generation)
+        const SlotMark& mark = marks_[index];
+        if (mark.generation != generation)
             return false;
-        if (s.heapIndex == kExecutingIndex)
+        if (mark.heapIndex == kExecutingIndex)
             return true;
-        if (s.heapIndex < 0)
+        if (mark.heapIndex < 0)
             return false;
-        heapRemoveAt(static_cast<std::size_t>(s.heapIndex));
+        heapRemoveAt(static_cast<std::size_t>(mark.heapIndex));
         releaseSlot(index);
         return true;
     }
@@ -266,13 +266,26 @@ class EventQueue {
     bool
     slotPending(std::uint32_t index, std::uint32_t generation) const
     {
-        const Slot& s = *slotPtr(index);
-        return s.generation == generation &&
-               s.heapIndex != kFreeIndex;
+        const SlotMark& mark = marks_[index];
+        return mark.generation == generation &&
+               mark.heapIndex != kFreeIndex;
     }
+
+    /** Bits of a heap key that name the slot; the rest hold the
+     *  sequence number. */
+    static constexpr unsigned kSlotBits = 24;
+    /** Slots a queue may carve: slot indices fit kSlotBits. */
+    static constexpr std::size_t kSlotLimit = std::size_t{1}
+                                              << kSlotBits;
+    /** Sequence numbers a queue may assign. */
+    static constexpr std::uint64_t kSequenceLimit = std::uint64_t{1}
+                                                    << (64 - kSlotBits);
 
   private:
     friend class FiredEvent;
+    /** Tests reach the counters to hit the key bounds without 2^40
+     *  schedules or a 2^24-slot pool. */
+    friend struct EventQueueBoundsProbe;
 
     static constexpr std::size_t kSlabBits = 8;
     static constexpr std::size_t kSlabSize = std::size_t{1}
@@ -280,29 +293,62 @@ class EventQueue {
     static constexpr std::size_t kSlabMask = kSlabSize - 1;
     static constexpr std::int32_t kFreeIndex = -1;
     static constexpr std::int32_t kExecutingIndex = -2;
+    static constexpr std::uint64_t kSlotMask = kSlotLimit - 1;
 
+    /** An event's payload; its time and sequence live in its heap
+     *  entry (or, once popped, in the FiredEvent). */
     struct Slot {
         EventAction action;
-        SimTime when = 0;
-        std::uint64_t sequence = 0;
         const char* label = "";
-        std::uint32_t generation = 0;
+    };
+
+    /** A slot's heap position (or kFreeIndex / kExecutingIndex) and
+     *  generation, kept apart from the slot in marks_. */
+    struct SlotMark {
         std::int32_t heapIndex = kFreeIndex;
+        std::uint32_t generation = 0;
     };
 
     struct HeapEntry {
         SimTime when;
-        std::uint64_t sequence;
-        std::uint32_t slot;
+        /** sequence << kSlotBits | slot */
+        std::uint64_t key;
+
+        std::uint64_t sequence() const { return key >> kSlotBits; }
 
         bool
         before(const HeapEntry& other) const
         {
             if (when != other.when)
                 return when < other.when;
-            return sequence < other.sequence;
+            return key < other.key;
         }
     };
+    static_assert(sizeof(HeapEntry) == 16);
+
+    static std::uint32_t
+    slotOf(std::uint64_t key)
+    {
+        return static_cast<std::uint32_t>(key & kSlotMask);
+    }
+
+    /** Throws std::length_error once every sequence number the key
+     *  can hold has been assigned; changes nothing. */
+    void
+    requireSequence() const
+    {
+        if (nextSequence_ >= kSequenceLimit)
+            throwSequenceLimit();
+    }
+    [[noreturn]] static void throwSequenceLimit();
+
+    /** The next sequence number, packed with @p slot; call
+     *  requireSequence() first. */
+    std::uint64_t
+    takeKey(std::uint32_t slot)
+    {
+        return nextSequence_++ << kSlotBits | slot;
+    }
 
     Slot*
     slotPtr(std::uint32_t index)
@@ -315,11 +361,12 @@ class EventQueue {
         return &slabs_[index >> kSlabBits][index & kSlabMask];
     }
 
+    /** Throws std::length_error, changing nothing, when the pool is
+     *  full and already holds kSlotLimit slots. */
     std::uint32_t acquireSlot();
     void releaseSlot(std::uint32_t index);
 
-    void heapPush(std::uint32_t slot, SimTime when,
-                  std::uint64_t sequence);
+    void heapPush(HeapEntry entry);
     void heapRemoveTop();
     void heapRemoveAt(std::size_t pos);
     /** Restores heap order after the entry at @p pos changed from
@@ -330,6 +377,8 @@ class EventQueue {
     void siftDown(std::size_t pos, HeapEntry moving);
 
     std::vector<std::unique_ptr<Slot[]>> slabs_;
+    /** One mark per carved slot, by slot index. */
+    std::vector<SlotMark> marks_;
     std::vector<std::uint32_t> freeList_;
     std::vector<HeapEntry> heap_;
     std::uint64_t nextSequence_ = 0;

@@ -1,5 +1,6 @@
 #include "uqsim/core/sim/sweep.h"
 
+#include <algorithm>
 #include <iomanip>
 #include <sstream>
 #include <stdexcept>
@@ -10,7 +11,7 @@ double
 SweepCurve::saturationQps(double tolerance) const
 {
     for (const SweepPoint& point : points) {
-        if (point.offeredQps <= 0.0)
+        if (point.offeredQps <= 0.0 || !point.measured())
             continue;
         const double ratio =
             point.report.achievedQps / point.offeredQps;
@@ -25,7 +26,7 @@ SweepCurve::tailBeforeSaturationMs(double tolerance) const
 {
     double tail = 0.0;
     for (const SweepPoint& point : points) {
-        if (point.offeredQps <= 0.0)
+        if (point.offeredQps <= 0.0 || !point.measured())
             continue;
         const double ratio =
             point.report.achievedQps / point.offeredQps;
@@ -34,6 +35,29 @@ SweepCurve::tailBeforeSaturationMs(double tolerance) const
         tail = point.report.endToEnd.p99Ms;
     }
     return tail;
+}
+
+std::string
+formatSaturation(const SweepCurve& curve, double tolerance)
+{
+    std::ostringstream out;
+    const double saturation = curve.saturationQps(tolerance);
+    const double tail = curve.tailBeforeSaturationMs(tolerance);
+    if (saturation > 0.0) {
+        out << "saturation ~" << saturation
+            << " qps, p99 before saturation " << tail << " ms";
+        return out.str();
+    }
+    double highest = 0.0;
+    for (const SweepPoint& point : curve.points) {
+        if (point.measured())
+            highest = std::max(highest, point.offeredQps);
+    }
+    if (highest <= 0.0)
+        return "no point measured";
+    out << "no saturation up to " << highest
+        << " qps, p99 at that load " << tail << " ms";
+    return out.str();
 }
 
 SweepCurve

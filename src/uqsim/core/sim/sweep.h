@@ -22,6 +22,15 @@ namespace uqsim {
 struct SweepPoint {
     double offeredQps = 0.0;
     RunReport report;
+
+    /** False for a pooled point none of whose replications
+     *  completed (every one failed): its report measured nothing. */
+    bool
+    measured() const
+    {
+        return report.replicationsPlanned == 0 ||
+               report.replicationsMerged > 0;
+    }
 };
 
 /** A named load-latency curve (one line in a paper figure). */
@@ -33,12 +42,23 @@ struct SweepCurve {
      * The lowest offered load at which the system saturates, defined
      * as achieved throughput falling more than @p tolerance below
      * offered (default 5 %).  Returns 0 when no point saturates.
+     * Points that measured nothing (SweepPoint::measured) are
+     * skipped by this and the next helper.
      */
     double saturationQps(double tolerance = 0.05) const;
 
     /** p99 latency (ms) at the highest non-saturated point. */
     double tailBeforeSaturationMs(double tolerance = 0.05) const;
 };
+
+/**
+ * One line on where @p curve saturates: "saturation ~Q qps, p99
+ * before saturation T ms", or "no saturation up to Q qps, p99 at
+ * that load T ms" when no measured point saturates (Q is then the
+ * highest measured load), or "no point measured".
+ */
+std::string formatSaturation(const SweepCurve& curve,
+                             double tolerance = 0.05);
 
 /**
  * Runs @p factory once per load in @p loads.  The factory must

@@ -47,6 +47,7 @@ FlowModel::addLink(const LinkSpec& spec)
     const int id = static_cast<int>(links_.size());
     links_.push_back(spec);
     linkStates_.emplace_back();
+    linkStamps_.push_back(0);
     solver_.addResource(spec.bytesPerSecond);
     linkIds_.emplace(spec.name, id);
     return id;
@@ -70,15 +71,30 @@ FlowModel::requireRoutesMutable() const
 }
 
 void
-FlowModel::setRoute(int fromId, int toId, std::vector<int> path)
+FlowModel::checkPath(const std::vector<int>& path)
 {
-    requireRoutesMutable();
-    for (int l : path) {
+    // A link seen earlier in this path carries this path's stamp:
+    // one pass, however long the path.
+    ++pathStamp_;
+    for (const int l : path) {
         if (l < 0 || static_cast<std::size_t>(l) >= links_.size())
             throw std::out_of_range("flow model route uses unknown "
                                     "link id " +
                                     std::to_string(l));
+        const auto li = static_cast<std::size_t>(l);
+        if (linkStamps_[li] == pathStamp_) {
+            throw std::invalid_argument("flow model route lists link " +
+                                        links_[li].name + " twice");
+        }
+        linkStamps_[li] = pathStamp_;
     }
+}
+
+void
+FlowModel::setRoute(int fromId, int toId, std::vector<int> path)
+{
+    requireRoutesMutable();
+    checkPath(path);
     auto& candidates = routes_[{fromId, toId}];
     candidates.clear();
     candidates.push_back(std::move(path));
@@ -94,19 +110,14 @@ FlowModel::addBackupRoute(int fromId, int toId, std::vector<int> path)
             "flow model: backup route requires a primary route " +
             std::to_string(fromId) + " -> " + std::to_string(toId));
     }
-    for (int l : path) {
-        if (l < 0 || static_cast<std::size_t>(l) >= links_.size())
-            throw std::out_of_range("flow model route uses unknown "
-                                    "link id " +
-                                    std::to_string(l));
-    }
+    checkPath(path);
     it->second.push_back(std::move(path));
 }
 
 bool
 FlowModel::hasRoute(int fromId, int toId) const
 {
-    return routes_.count({fromId, toId}) != 0;
+    return findRoute(fromId, toId) != nullptr;
 }
 
 const std::vector<int>&
@@ -118,13 +129,13 @@ FlowModel::route(int fromId, int toId) const
 const std::vector<std::vector<int>>&
 FlowModel::routeCandidates(int fromId, int toId) const
 {
-    auto it = routes_.find({fromId, toId});
-    if (it == routes_.end()) {
+    const Candidates* candidates = findRoute(fromId, toId);
+    if (candidates == nullptr) {
         throw std::out_of_range(
             "flow model: no route " + std::to_string(fromId) + " -> " +
             std::to_string(toId));
     }
-    return it->second;
+    return *candidates;
 }
 
 void
@@ -298,12 +309,12 @@ FlowModel::reachable(int fromId, int toId) const
 {
     if (partitionActive_ && crossesPartition(fromId, toId))
         return false;
-    auto it = routes_.find({fromId, toId});
-    if (it == routes_.end())
+    const Candidates* candidates = findRoute(fromId, toId);
+    if (candidates == nullptr)
         return false;
     if (downLinkCount_ == 0)
         return true;
-    for (const auto& candidate : it->second) {
+    for (const auto& candidate : *candidates) {
         if (pathUp(candidate))
             return true;
     }
@@ -326,16 +337,49 @@ FlowModel::onMachineAdded(const Machine& machine)
     machineNames_[id] = machine.name();
 }
 
-const std::vector<std::vector<int>>&
+void
+FlowModel::freezeRoutes()
+{
+    carried_ = true;
+    int span = 0;
+    for (const auto& [pair, candidates] : routes_)
+        span = std::max({span, pair.first + 1, pair.second + 1});
+    routeSpan_ = static_cast<std::size_t>(span);
+    routeIndex_.assign(routeSpan_ * routeSpan_, nullptr);
+    for (const auto& [pair, candidates] : routes_) {
+        if (pair.first >= 0 && pair.second >= 0) {
+            routeIndex_[static_cast<std::size_t>(pair.first) *
+                            routeSpan_ +
+                        static_cast<std::size_t>(pair.second)] =
+                &candidates;
+        }
+    }
+}
+
+const FlowModel::Candidates*
+FlowModel::findRoute(int fromId, int toId) const
+{
+    // Every routed pair of non-negative ids is in the index, so an
+    // in-range null entry means no route.  Negative ids wrap past
+    // routeSpan_; before the freeze routeSpan_ is 0.
+    const auto fi = static_cast<std::size_t>(fromId);
+    const auto ti = static_cast<std::size_t>(toId);
+    if (fi < routeSpan_ && ti < routeSpan_)
+        return routeIndex_[fi * routeSpan_ + ti];
+    const auto it = routes_.find({fromId, toId});
+    return it == routes_.end() ? nullptr : &it->second;
+}
+
+const FlowModel::Candidates&
 FlowModel::routeOrThrow(const Machine& from, const Machine& to) const
 {
-    auto it = routes_.find({from.netId(), to.netId()});
-    if (it == routes_.end()) {
+    const Candidates* candidates = findRoute(from.netId(), to.netId());
+    if (candidates == nullptr) {
         throw std::logic_error("flow network model: no route from \"" +
                                from.name() + "\" to \"" + to.name() +
                                "\"");
     }
-    return it->second;
+    return *candidates;
 }
 
 bool
@@ -422,7 +466,8 @@ FlowModel::transit(const Machine* from, const Machine* to,
             std::move(done), label);
         return;
     }
-    carried_ = true;
+    if (!carried_)
+        freezeRoutes();
     if (partitionActive_ &&
         crossesPartition(from->netId(), to->netId())) {
         dropMessage(std::move(dropped), DropReason::Unreachable,

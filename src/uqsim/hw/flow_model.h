@@ -32,6 +32,13 @@
  * zero until the link repairs; progressive filling does this
  * naturally).
  *
+ * Routes are frozen by the first carried transfer.  At that moment
+ * the model builds a dense route index keyed by (from net id, to net
+ * id), so each transfer finds its candidates with one array read
+ * instead of a map search.  A route must not list a link twice (the
+ * solver counts flows per link), so setRoute() and addBackupRoute()
+ * reject such a path.
+ *
  * Everything advances through engine events ("net/flow" transmission
  * completions), so the determinism contract and the explorer's
  * same-timestamp choice points apply unchanged.  Fault-free runs
@@ -123,8 +130,9 @@ class FlowModel final : public NetworkModel {
      * Installs the directional *primary* route between two machines,
      * identified by their cluster-assigned net ids
      * (Machine::netId()).  @p path lists link ids in traversal
-     * order; it may be empty (zero-latency direct path).  Replaces
-     * any previously installed candidates for the pair.
+     * order, none twice (std::invalid_argument otherwise); it may be
+     * empty (zero-latency direct path).  Replaces any previously
+     * installed candidates for the pair.
      */
     void setRoute(int fromId, int toId, std::vector<int> path);
 
@@ -240,10 +248,21 @@ class FlowModel final : public NetworkModel {
         std::uint64_t drops = 0;
     };
 
-    const std::vector<std::vector<int>>& routeOrThrow(
-        const Machine& from, const Machine& to) const;
+    using Candidates = std::vector<std::vector<int>>;
+
+    /** The pair's candidates, or nullptr: from the route index once
+     *  routes are frozen, from routes_ before. */
+    const Candidates* findRoute(int fromId, int toId) const;
+    /** findRoute(); throws std::logic_error naming both machines
+     *  when the pair has no route. */
+    const Candidates& routeOrThrow(const Machine& from,
+                                   const Machine& to) const;
     /** Throws std::logic_error once a transfer has been carried. */
     void requireRoutesMutable() const;
+    /** Throws when @p path names an unknown link or one link twice. */
+    void checkPath(const std::vector<int>& path);
+    /** Sets carried_ and builds routeIndex_ from routes_. */
+    void freezeRoutes();
     bool pathUp(const std::vector<int>& path) const;
     /** First all-up candidate (a RouteFailover choice point when
      *  several survive and a chooser is attached); nullptr when none
@@ -262,11 +281,19 @@ class FlowModel final : public NetworkModel {
     Simulator* sim_ = nullptr;
     std::vector<LinkSpec> links_;
     std::vector<LinkState> linkStates_;
+    /** Per link, the stamp of the last path checkPath() saw it on. */
+    std::vector<std::uint64_t> linkStamps_;
+    std::uint64_t pathStamp_ = 0;
     std::map<std::string, int> linkIds_;
     /** Candidate paths per (from, to) pair in failover order;
      *  index 0 is the primary. */
-    std::map<std::pair<int, int>, std::vector<std::vector<int>>>
-        routes_;
+    std::map<std::pair<int, int>, Candidates> routes_;
+    /** routes_ by from * routeSpan_ + to for net ids below
+     *  routeSpan_ (one past the largest routed id), nullptr where no
+     *  route exists; built by freezeRoutes(), after which routes_
+     *  never changes. */
+    std::vector<const Candidates*> routeIndex_;
+    std::size_t routeSpan_ = 0;
     std::map<std::string, std::vector<int>> switches_;
     std::vector<std::string> switchNames_;
     std::vector<std::string> machineNames_;

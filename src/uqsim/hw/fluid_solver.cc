@@ -1,7 +1,7 @@
 #include "uqsim/hw/fluid_solver.h"
 
 #include <algorithm>
-#include <limits>
+#include <bit>
 #include <stdexcept>
 #include <string>
 #include <utility>
@@ -25,6 +25,8 @@ FluidSolver::bind(Simulator& sim)
 int
 FluidSolver::addResource(double capacity)
 {
+    if (capacity_.size() % 64 == 0)
+        loaded_.push_back(0);
     capacity_.push_back(capacity);
     crossing_.push_back(0);
     capLeft_.push_back(0.0);
@@ -70,17 +72,27 @@ void
 FluidSolver::count(const Flow& flow, int delta)
 {
     for (const int r : *flow.resources) {
-        int& crossing = crossing_[static_cast<std::size_t>(r)];
-        const bool wasLoaded = crossing > 0;
-        crossing += delta;
-        if ((crossing > 0) == wasLoaded)
-            continue;
-        const auto at =
-            std::lower_bound(loaded_.begin(), loaded_.end(), r);
-        if (wasLoaded)
-            loaded_.erase(at);
+        const auto ri = static_cast<std::size_t>(r);
+        const std::uint64_t bit = std::uint64_t{1} << (ri % 64);
+        crossing_[ri] += delta;
+        if (crossing_[ri] > 0)
+            loaded_[ri / 64] |= bit;
         else
-            loaded_.insert(at, r);
+            loaded_[ri / 64] &= ~bit;
+    }
+}
+
+template <typename Visit>
+void
+FluidSolver::forEachLoaded(Visit&& visit) const
+{
+    for (std::size_t word = 0; word < loaded_.size(); ++word) {
+        for (std::uint64_t bits = loaded_[word]; bits != 0;
+             bits &= bits - 1) {
+            visit(static_cast<int>(word * 64 +
+                                   static_cast<std::size_t>(
+                                       std::countr_zero(bits))));
+        }
     }
 }
 
@@ -110,71 +122,29 @@ FluidSolver::reshare()
     // Progressive filling: the tightest resource's equal split is a
     // rate no crossing flow can exceed, so those flows are fixed at
     // it; remove them and repeat.  Ties break toward the lowest
-    // resource index and flows are fixed in id order, keeping the
-    // arithmetic order deterministic.  A zero-capacity resource fixes
-    // its flows at rate 0; flows crossing no resource keep rate 0.
-    // Only loaded resources can be tightest, and loaded_ is ascending,
-    // so scanning it alone picks the same resource as scanning all.
-    for (const int r : loaded_) {
-        const auto ri = static_cast<std::size_t>(r);
-        capLeft_[ri] = capacity_[ri];
-        flowsOn_[ri] = crossing_[ri];
-    }
-    shares_.clear();
-    unfixed_.clear();
-    for (const auto& [id, flow] : flows_) {
-        const std::vector<int>& path = *flow.resources;
-        unfixed_.push_back(shares_.size());
-        shares_.push_back({path.data(), path.data() + path.size(), 0.0});
-    }
-    while (!unfixed_.empty()) {
-        double best = std::numeric_limits<double>::infinity();
-        int tightest = -1;
-        for (const int r : loaded_) {
-            const auto ri = static_cast<std::size_t>(r);
-            if (flowsOn_[ri] > 0 && capLeft_[ri] / flowsOn_[ri] < best) {
-                best = capLeft_[ri] / flowsOn_[ri];
-                tightest = r;
-            }
-        }
-        if (tightest < 0)
-            break;
-        std::size_t kept = 0;
-        fixed_.clear();
-        for (const std::size_t i : unfixed_) {
-            Share& share = shares_[i];
-            if (std::find(share.first, share.last, tightest) ==
-                share.last) {
-                unfixed_[kept++] = i;
-                continue;
-            }
-            share.rate = best;
-            fixed_.push_back(i);
-        }
-        // Nothing reads the capacity bookkeeping after the last round
-        // (most re-shares have only one), so it is skipped there.
-        // Deferred to after the round, each resource's subtractions
-        // still run in flow-id order.
-        if (kept == 0)
-            break;
-        unfixed_.resize(kept);
-        for (const std::size_t i : fixed_) {
-            const Share& share = shares_[i];
-            for (const int* r = share.first; r != share.last; ++r) {
-                const auto ri = static_cast<std::size_t>(*r);
-                capLeft_[ri] = std::max(capLeft_[ri] - best, 0.0);
-                --flowsOn_[ri];
-            }
-        }
-    }
+    // resource index (strict <, ascending walk) and flows are fixed
+    // in id order, keeping the arithmetic order deterministic.  A
+    // zero-capacity resource fixes its flows at rate 0; flows
+    // crossing no resource keep rate 0.
+    const Bottleneck first = tightest(capacity_, crossing_);
+    // When the tightest resource carries every flow, the first round
+    // fixes them all and is the last; the rate is the same double
+    // the filling loop would compute.
+    const bool oneBottleneck =
+        first.resource >= 0 &&
+        static_cast<std::size_t>(
+            crossing_[static_cast<std::size_t>(first.resource)]) ==
+            flows_.size();
+    if (!oneBottleneck)
+        fill(first);
 
     // Re-time completions in id order.  A flow whose rate did not
     // change keeps its pending event: the remaining bytes shrank
     // exactly in step with the old schedule, so the old finish time
     // still holds (and skipping the re-time avoids rounding drift).
-    for (std::size_t i = 0; i < shares_.size(); ++i) {
+    for (std::size_t i = 0; i < flows_.size(); ++i) {
         auto& [id, flow] = flows_[i];
-        const double rate = shares_[i].rate;
+        const double rate = oneBottleneck ? first.share : shares_[i].rate;
         if (rate == flow.rate && flow.completion.pending())
             continue;
         flow.rate = rate;
@@ -186,6 +156,75 @@ FluidSolver::reshare()
             rate > 0.0 ? secondsToSimTime(flow.remainingBytes / rate)
                        : 0;
         retime(id, flow, sim_->now() + remaining);
+    }
+}
+
+FluidSolver::Bottleneck
+FluidSolver::tightest(const std::vector<double>& capacity,
+                      const std::vector<int>& flowsOn) const
+{
+    // Only loaded resources can be tightest, so walking them alone
+    // picks the same resource as scanning all.
+    Bottleneck bottleneck;
+    forEachLoaded([&](int r) {
+        const auto ri = static_cast<std::size_t>(r);
+        if (flowsOn[ri] > 0 && capacity[ri] / flowsOn[ri] < bottleneck.share) {
+            bottleneck.share = capacity[ri] / flowsOn[ri];
+            bottleneck.resource = r;
+        }
+    });
+    return bottleneck;
+}
+
+void
+FluidSolver::fill(Bottleneck bottleneck)
+{
+    shares_.clear();
+    unfixed_.clear();
+    for (const auto& [id, flow] : flows_) {
+        const std::vector<int>& path = *flow.resources;
+        unfixed_.push_back(shares_.size());
+        shares_.push_back({path.data(), path.data() + path.size(), 0.0});
+    }
+    if (bottleneck.resource < 0)
+        return;
+    forEachLoaded([&](int r) {
+        const auto ri = static_cast<std::size_t>(r);
+        capLeft_[ri] = capacity_[ri];
+        flowsOn_[ri] = crossing_[ri];
+    });
+    while (true) {
+        std::size_t kept = 0;
+        fixed_.clear();
+        for (const std::size_t i : unfixed_) {
+            Share& share = shares_[i];
+            if (std::find(share.first, share.last,
+                          bottleneck.resource) == share.last) {
+                unfixed_[kept++] = i;
+                continue;
+            }
+            share.rate = bottleneck.share;
+            fixed_.push_back(i);
+        }
+        // Nothing reads the capacity bookkeeping after the last
+        // round, so it is skipped there.  Deferred to after the
+        // round, each resource's subtractions still run in flow-id
+        // order.
+        if (kept == 0)
+            return;
+        unfixed_.resize(kept);
+        for (const std::size_t i : fixed_) {
+            const Share& share = shares_[i];
+            for (const int* r = share.first; r != share.last; ++r) {
+                const auto ri = static_cast<std::size_t>(*r);
+                capLeft_[ri] =
+                    std::max(capLeft_[ri] - bottleneck.share, 0.0);
+                --flowsOn_[ri];
+            }
+        }
+        bottleneck = tightest(capLeft_, flowsOn_);
+        if (bottleneck.resource < 0)
+            return;
     }
 }
 

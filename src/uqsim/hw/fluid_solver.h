@@ -8,14 +8,20 @@
  * read and write heads).  Each flow holds a max-min fair share of
  * every resource it crosses until its last byte moves; reshare()
  * recomputes the shares by progressive filling over the loaded
- * resources only (those some flow crosses, in ascending index order)
- * and re-keys only the completions whose rate changed.  Flows sit in
- * a flat table in id order, never hash order, so the arithmetic is
- * bit-reproducible.  Full contract: docs/ARCHITECTURE.md §Fluid
- * sharing.
+ * resources only (those some flow crosses: a bitset walked in
+ * ascending index order) and re-keys only the completions whose rate
+ * changed.  When the tightest loaded resource carries every active
+ * flow (one incast link, one busy disk head), that one round is the
+ * whole answer and reshare() skips the per-flow path scan.  Flows
+ * sit in a flat table in id order, never hash order, so the
+ * arithmetic is bit-reproducible.  A flow's resource list must not
+ * name a resource twice (FlowModel rejects such routes): the
+ * per-resource flow counts are exact only then.  Full contract:
+ * docs/ARCHITECTURE.md §Fluid sharing.
  */
 
 #include <cstdint>
+#include <limits>
 #include <utility>
 #include <vector>
 
@@ -28,8 +34,8 @@ namespace hw {
 class FluidSolver {
   public:
     struct Flow {
-        /** Resource ids crossed; the storage is the adapter's and
-         *  must outlive the flow. */
+        /** Resource ids crossed, none twice; the storage is the
+         *  adapter's and must outlive the flow. */
         const std::vector<int>* resources = nullptr;
         std::uint64_t sizeBytes = 0;
         /** Counts down from sizeBytes; set by insert(). */
@@ -105,6 +111,23 @@ class FluidSolver {
     /** Adds @p delta to crossing_ of each resource of @p flow and
      *  keeps loaded_ in step. */
     void count(const Flow& flow, int delta);
+    /** Calls @p visit(r) for each loaded resource r, ascending. */
+    template <typename Visit>
+    void forEachLoaded(Visit&& visit) const;
+
+    /** A filling round's tightest resource and its equal split. */
+    struct Bottleneck {
+        int resource = -1;
+        double share = std::numeric_limits<double>::infinity();
+    };
+    /** The loaded resource r with flowsOn[r] > 0 and the smallest
+     *  capacity[r] / flowsOn[r], lowest index on ties; resource -1
+     *  when there is none. */
+    Bottleneck tightest(const std::vector<double>& capacity,
+                        const std::vector<int>& flowsOn) const;
+    /** Fills shares_ by progressive filling from the first round's
+     *  @p bottleneck. */
+    void fill(Bottleneck bottleneck);
     /** Points flow @p id's completion at @p when: re-keys the pending
      *  event, or schedules one when none is pending. */
     void retime(std::uint64_t id, Flow& flow, SimTime when);
@@ -117,8 +140,8 @@ class FluidSolver {
     std::vector<double> capacity_;
     /** Active flows crossing each resource. */
     std::vector<int> crossing_;
-    /** Resources with crossing_ > 0, in ascending index order. */
-    std::vector<int> loaded_;
+    /** Bit r set when crossing_[r] > 0 (64 resources per word). */
+    std::vector<std::uint64_t> loaded_;
     FlowTable flows_;
     std::uint64_t nextId_ = 0;
     SimTime lastUpdate_ = 0;

@@ -577,9 +577,14 @@ fanoutFatTreeBundle(const FanoutFatTreeParams& params)
     }
     {
         JsonArray instances;
-        for (int i = 0; i < params.fanout; ++i)
-            instances.push_back(
-                instanceJson("h" + std::to_string(1 + i), 1));
+        for (int i = 0; i < params.fanout; ++i) {
+            // Appending, not "h" + ...: GCC 12 at -O3 misreads the
+            // one-character prefix insert as an overlapping memcpy
+            // (-Wrestrict).
+            std::string host = "h";
+            host += std::to_string(1 + i);
+            instances.push_back(instanceJson(host, 1));
+        }
         deploys.push_back(
             serviceDeployJson("nginx_web", std::move(instances)));
     }

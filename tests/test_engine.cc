@@ -1,8 +1,9 @@
 /**
  * @file
  * Unit tests for the DES engine: time, events, queue ordering,
- * cancellation, re-keying, the slab event pool with
- * generation-stamped handles, and the simulator run loop.
+ * cancellation, re-keying, the packed heap keys and their bounds,
+ * the slab event pool with generation-stamped handles, and the
+ * simulator run loop.
  */
 
 #include <gtest/gtest.h>
@@ -10,6 +11,8 @@
 #include <algorithm>
 #include <cstdint>
 #include <memory>
+#include <stdexcept>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -20,6 +23,27 @@
 #include "uqsim/snapshot/snapshot.h"
 
 namespace uqsim {
+
+/** Sets the queue's counters directly, so the key bounds can be hit
+ *  without 2^40 schedules or a 2^24-slot pool. */
+struct EventQueueBoundsProbe {
+    static void
+    setNextSequence(EventQueue& queue, std::uint64_t sequence)
+    {
+        queue.nextSequence_ = sequence;
+    }
+
+    /** Makes the queue believe it has carved every slot the key can
+     *  name, without allocating them: the slab table is filled with
+     *  null slabs and the free list is empty. */
+    static void
+    claimEverySlot(EventQueue& queue)
+    {
+        queue.slabs_.resize(EventQueue::kSlotLimit >>
+                            EventQueue::kSlabBits);
+    }
+};
+
 namespace {
 
 // -------------------------------------------------------------- SimTime
@@ -592,6 +616,155 @@ TEST(EventQueue, RekeyRetiresCopiesOfTheOldHandle)
     EXPECT_STREQ(event.label(), "e");
     event.invoke();
     EXPECT_EQ(fired, 1);
+}
+
+TEST(EventQueue, CompactHeapPopsInReferenceOrderUnderRekeys)
+{
+    // One seeded stream of schedule, cancel, re-key and pop
+    // operations against a sorted reference of (when, sequence).
+    // Slots are recycled all along, so slot and sequence order
+    // disagree; the heap must follow the sequence alone.  The audit
+    // (heap order, positions, pool accounting) runs after every step.
+    struct Live {
+        EventHandle handle;
+        SimTime when;
+        std::uint64_t sequence;
+    };
+    random::Rng rng(20261018);
+    EventQueue queue;
+    std::vector<Live> live;  // by id; when == -1 once gone
+    std::vector<std::pair<SimTime, std::uint64_t>> reference;
+    std::uint64_t sequence = 0;
+    std::size_t fired = 0;
+    std::size_t lastFired = 0;
+    SimTime now = 0;
+    int rekeys = 0;
+    int recycled = 0;
+    const auto eraseReference = [&](const Live& event) {
+        const auto at = std::find(reference.begin(), reference.end(),
+                                  std::make_pair(event.when,
+                                                 event.sequence));
+        ASSERT_NE(at, reference.end());
+        reference.erase(at);
+    };
+    const auto pickLive = [&]() -> Live* {
+        for (int tries = 0; tries < 8 && !live.empty(); ++tries) {
+            Live& event = live[static_cast<std::size_t>(
+                rng.nextBounded(live.size()))];
+            if (event.when >= 0)
+                return &event;
+        }
+        return nullptr;
+    };
+    for (int op = 0; op < 6000; ++op) {
+        const std::uint64_t kind = rng.nextBounded(100);
+        if (kind < 35 || reference.empty()) {
+            // Few distinct times, so most pops break a tie.
+            const SimTime when =
+                now + static_cast<SimTime>(rng.nextBounded(8));
+            const std::size_t id = live.size();
+            const std::size_t before = queue.freeSlots();
+            live.push_back(Live{
+                queue.schedule(
+                    when, [&fired, &lastFired, id]() {
+                        ++fired;
+                        lastFired = id;
+                    },
+                    "e"),
+                when, sequence});
+            recycled += before > 0;
+            reference.emplace_back(when, sequence++);
+        } else if (kind < 50) {
+            if (Live* event = pickLive()) {
+                eraseReference(*event);
+                ASSERT_TRUE(event->handle.cancel()) << "op " << op;
+                EXPECT_FALSE(event->handle.pending());
+                event->when = -1;
+            }
+        } else if (kind < 75) {
+            if (Live* event = pickLive()) {
+                eraseReference(*event);
+                const SimTime when =
+                    now + static_cast<SimTime>(rng.nextBounded(8));
+                ASSERT_TRUE(queue.rekey(event->handle, when)) << "op " << op;
+                event->when = when;
+                event->sequence = sequence;
+                reference.emplace_back(when, sequence++);
+                ++rekeys;
+            }
+        } else {
+            const auto next =
+                std::min_element(reference.begin(), reference.end());
+            EventQueue::FiredEvent event = queue.pop();
+            ASSERT_TRUE(static_cast<bool>(event));
+            EXPECT_EQ(event.when(), next->first) << "op " << op;
+            EXPECT_EQ(event.sequence(), next->second) << "op " << op;
+            now = event.when();
+            event.invoke();
+            EXPECT_EQ(live[lastFired].sequence, next->second);
+            live[lastFired].when = -1;
+            reference.erase(next);
+        }
+        ASSERT_EQ(queue.size(), reference.size()) << "op " << op;
+        ASSERT_EQ(queue.scheduledCount(), sequence);
+        const std::vector<std::string> findings = queue.auditCheck();
+        ASSERT_TRUE(findings.empty()) << "op " << op << ": "
+                                      << findings.front();
+    }
+    EXPECT_GT(rekeys, 600);
+    EXPECT_GT(fired, 1000u);
+    EXPECT_GT(recycled, 1000);
+}
+
+TEST(EventQueue, KeyBoundsThrowAndChangeNothing)
+{
+    // Sequence numbers take the top 40 bits of a heap key.  The last
+    // one is still handed out, packed without touching the slot bits;
+    // the next schedule or re-key throws.
+    EventQueue queue;
+    EventQueueBoundsProbe::setNextSequence(
+        queue, EventQueue::kSequenceLimit - 2);
+    EventHandle early = queue.schedule(5, [] {}, "early");
+    EventHandle last = queue.schedule(3, [] {}, "last");
+    EXPECT_THROW(queue.schedule(1, [] {}, "over"), std::length_error);
+    EXPECT_THROW(queue.rekey(early, 9), std::length_error);
+    try {
+        queue.schedule(1, [] {}, "over");
+    } catch (const std::length_error& error) {
+        EXPECT_NE(std::string(error.what()).find("sequence numbers"),
+                  std::string::npos)
+            << error.what();
+    }
+    EXPECT_EQ(queue.size(), 2u);
+    EXPECT_EQ(queue.scheduledCount(), EventQueue::kSequenceLimit);
+    EXPECT_TRUE(early.pending());
+    EXPECT_TRUE(queue.auditCheck().empty());
+    {
+        EventQueue::FiredEvent event = queue.pop();
+        EXPECT_EQ(event.when(), 3);
+        EXPECT_EQ(event.sequence(), EventQueue::kSequenceLimit - 1);
+        EXPECT_STREQ(event.label(), "last");
+    }
+    EXPECT_FALSE(last.pending());
+    EXPECT_TRUE(early.cancel());
+    EXPECT_TRUE(queue.empty());
+
+    // Slot indices take the low 24 bits.  A queue whose pool already
+    // holds every slot they can name throws instead of carving more.
+    EventQueue full;
+    EventQueueBoundsProbe::claimEverySlot(full);
+    EXPECT_EQ(full.poolCapacity(), EventQueue::kSlotLimit);
+    try {
+        full.schedule(1, [] {}, "over");
+        ADD_FAILURE() << "a full pool carved another slab";
+    } catch (const std::length_error& error) {
+        EXPECT_NE(std::string(error.what()).find("events pending"),
+                  std::string::npos)
+            << error.what();
+    }
+    EXPECT_EQ(full.size(), 0u);
+    EXPECT_EQ(full.scheduledCount(), 0u);
+    EXPECT_EQ(full.poolCapacity(), EventQueue::kSlotLimit);
 }
 
 // -------------------------------------------------------------- Simulator

@@ -7,6 +7,8 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <string>
+#include <utility>
 #include <vector>
 
 #include "uqsim/hw/cluster.h"
@@ -224,14 +226,18 @@ class NetworkTest : public ::testing::Test {
   protected:
     NetworkTest()
     {
-        MachineConfig config;
-        config.cores = 4;
-        config.irqCores = 1;
-        config.irqPerPacket = 1e-6;
-        config.name = "a";
-        a_ = std::make_unique<Machine>(sim_, config);
-        config.name = "b";
-        b_ = std::make_unique<Machine>(sim_, config);
+        // One config per machine: GCC 12 at -O3 misreads renaming
+        // a copied config as an overlapping memcpy (-Wrestrict).
+        const auto config = [](std::string name) {
+            MachineConfig machine;
+            machine.cores = 4;
+            machine.irqCores = 1;
+            machine.irqPerPacket = 1e-6;
+            machine.name = std::move(name);
+            return machine;
+        };
+        a_ = std::make_unique<Machine>(sim_, config("a"));
+        b_ = std::make_unique<Machine>(sim_, config("b"));
     }
 
     Simulator sim_;

@@ -2,17 +2,21 @@
  * @file
  * Network-model tests: the fluid solver's max-min fair shares against
  * closed forms and, over random churn, against a full-scan filling
- * bit for bit; FlowModel timing against analytical incast shares,
- * the route freeze once transfers flow, the rate-unchanged reschedule
- * skip, fat-tree generator invariants, machines.json schema v2
- * validation, the capacity-doubling metamorphic property, and
- * FlowModel digest determinism across runner thread counts.
+ * bit for bit (one-bottleneck re-shares included); FlowModel timing
+ * against analytical incast shares, the route freeze once transfers
+ * flow, the repeated-link check and the route index, the
+ * rate-unchanged reschedule skip, fat-tree generator invariants,
+ * machines.json schema v2 validation, the capacity-doubling
+ * metamorphic property, and FlowModel digest determinism across
+ * runner thread counts.
  */
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <functional>
 #include <limits>
+#include <map>
 #include <memory>
 #include <string>
 #include <tuple>
@@ -268,6 +272,334 @@ TEST(FluidSolver, RatesMatchFullFillingBitForBit)
     EXPECT_GT(finished, 100u);
 }
 
+/**
+ * A reference solver: full-scan filling (referenceFilling) every
+ * re-share, with the solver's advance and re-time rules written out,
+ * so rates, remaining bytes and completion times can be compared bit
+ * for bit.
+ */
+class FullScanSolver {
+  public:
+    struct Entry {
+        std::uint64_t id;
+        const std::vector<int>* path;
+        double remaining;
+        double rate;
+        bool pending;
+        SimTime finishAt;
+    };
+
+    explicit FullScanSolver(std::vector<double> capacities)
+        : capacities_(std::move(capacities))
+    {
+    }
+
+    void
+    insert(std::uint64_t id, const std::vector<int>* path,
+           std::uint64_t bytes, SimTime now)
+    {
+        advance(now);
+        entries_.push_back(
+            {id, path, static_cast<double>(bytes), 0.0, false, 0});
+    }
+
+    /** Removes flow @p id; returns its entry. */
+    Entry
+    erase(std::uint64_t id, SimTime now)
+    {
+        advance(now);
+        const auto it = std::find_if(
+            entries_.begin(), entries_.end(),
+            [id](const Entry& entry) { return entry.id == id; });
+        if (it == entries_.end()) {
+            ADD_FAILURE() << "no reference flow " << id;
+            return Entry{id, nullptr, 0.0, 0.0, false, 0};
+        }
+        const Entry entry = *it;
+        entries_.erase(it);
+        return entry;
+    }
+
+    void
+    setCapacity(std::size_t r, double capacity)
+    {
+        capacities_[r] = capacity;
+    }
+
+    void
+    reshare(SimTime now)
+    {
+        advance(now);
+        std::vector<const std::vector<int>*> paths;
+        for (const Entry& entry : entries_)
+            paths.push_back(entry.path);
+        const std::vector<double> rates =
+            referenceFilling(capacities_, paths);
+        for (std::size_t i = 0; i < entries_.size(); ++i) {
+            Entry& entry = entries_[i];
+            if (rates[i] == entry.rate && entry.pending)
+                continue;
+            entry.rate = rates[i];
+            if (entry.rate <= 0.0 && entry.remaining > 0.0) {
+                entry.pending = false;
+                continue;
+            }
+            entry.pending = true;
+            entry.finishAt =
+                now + (entry.rate > 0.0
+                           ? secondsToSimTime(entry.remaining / entry.rate)
+                           : 0);
+        }
+    }
+
+    const std::vector<Entry>& entries() const { return entries_; }
+    const std::vector<double>& capacities() const { return capacities_; }
+
+  private:
+    void
+    advance(SimTime now)
+    {
+        if (now <= last_)
+            return;
+        const double dt = simTimeToSeconds(now - last_);
+        for (Entry& entry : entries_) {
+            entry.remaining -= entry.rate * dt;
+            if (entry.remaining < 0.0)
+                entry.remaining = 0.0;
+        }
+        last_ = now;
+    }
+
+    std::vector<double> capacities_;
+    std::vector<Entry> entries_;
+    SimTime last_ = 0;
+};
+
+/** What the first filling round of a re-share sees. */
+struct TightestRound {
+    /** The tightest resource carries every flow. */
+    bool everyFlow = false;
+    bool zeroCapacity = false;
+    /** Another loaded resource has the same equal split. */
+    bool tied = false;
+};
+
+TightestRound
+classifyRound(const FullScanSolver& reference)
+{
+    const std::vector<double>& capacities = reference.capacities();
+    std::vector<int> crossing(capacities.size(), 0);
+    for (const auto& entry : reference.entries()) {
+        for (const int r : *entry.path)
+            ++crossing[static_cast<std::size_t>(r)];
+    }
+    double best = std::numeric_limits<double>::infinity();
+    std::size_t tightest = capacities.size();
+    for (std::size_t r = 0; r < capacities.size(); ++r) {
+        if (crossing[r] > 0 && capacities[r] / crossing[r] < best) {
+            best = capacities[r] / crossing[r];
+            tightest = r;
+        }
+    }
+    TightestRound round;
+    if (tightest == capacities.size())
+        return round;
+    round.everyFlow = static_cast<std::size_t>(crossing[tightest]) ==
+                      reference.entries().size();
+    round.zeroCapacity = capacities[tightest] == 0.0;
+    for (std::size_t r = 0; r < capacities.size(); ++r) {
+        if (r != tightest && crossing[r] > 0 &&
+            capacities[r] / crossing[r] == best)
+            round.tied = true;
+    }
+    return round;
+}
+
+/**
+ * Drives a FluidSolver and the full-scan reference through one
+ * seeded stream of inserts, erases, capacity changes and fired
+ * events.  @p pathFor draws a new flow's resources; @p capacityFor
+ * draws a capacity for resource r.  After every step each flow's
+ * rate, remaining bytes and completion state must match, and each
+ * completion must fire at the reference's finish time.  Returns the
+ * first-round shapes seen after each re-share.
+ */
+std::vector<TightestRound>
+runAgainstFullScan(
+    std::size_t resources, std::uint64_t seed, int steps,
+    const std::function<std::vector<int>(random::Rng&, int step)>&
+        pathFor,
+    const std::function<double(random::Rng&, std::size_t r)>&
+        capacityFor)
+{
+    random::Rng rng(seed);
+    Simulator sim(1);
+    std::vector<double> capacities;
+    for (std::size_t r = 0; r < resources; ++r)
+        capacities.push_back(capacityFor(rng, r));
+    FullScanSolver reference(capacities);
+    // Each flow owns its path vector, so the finish hook can name
+    // the flow by its resources pointer.
+    std::vector<std::unique_ptr<std::vector<int>>> paths;
+    std::map<const std::vector<int>*, std::uint64_t> idOf;
+    int finished = 0;
+    hw::FluidSolver solver(
+        "test/flow", [&](const hw::FluidSolver::Flow& flow) {
+            const std::uint64_t id = idOf.at(flow.resources);
+            const FullScanSolver::Entry entry =
+                reference.erase(id, sim.now());
+            EXPECT_TRUE(entry.pending) << "flow " << id;
+            EXPECT_EQ(sim.now(), entry.finishAt) << "flow " << id;
+            reference.reshare(sim.now());
+            ++finished;
+        });
+    solver.bind(sim);
+    for (const double capacity : capacities)
+        solver.addResource(capacity);
+
+    std::vector<TightestRound> rounds;
+    const auto check = [&](int step) {
+        const auto& table = solver.flows();
+        const auto& entries = reference.entries();
+        ASSERT_EQ(table.size(), entries.size()) << "step " << step;
+        for (std::size_t i = 0; i < table.size(); ++i) {
+            const auto& [id, flow] = table[i];
+            ASSERT_EQ(id, entries[i].id) << "step " << step;
+            EXPECT_EQ(flow.rate, entries[i].rate)
+                << "step " << step << ", flow " << id;
+            EXPECT_EQ(flow.remainingBytes, entries[i].remaining)
+                << "step " << step << ", flow " << id;
+            EXPECT_EQ(flow.completion.pending(), entries[i].pending)
+                << "step " << step << ", flow " << id;
+        }
+    };
+    const auto reshareBoth = [&]() {
+        solver.reshare();
+        reference.reshare(sim.now());
+        rounds.push_back(classifyRound(reference));
+    };
+
+    for (int step = 0; step < steps; ++step) {
+        const std::uint64_t kind = rng.nextBounded(100);
+        if (kind < 40 || solver.flows().empty()) {
+            auto path =
+                std::make_unique<std::vector<int>>(pathFor(rng, step));
+            const std::uint64_t bytes = 1 + rng.nextBounded(200000);
+            const std::uint64_t id = solver.nextId();
+            idOf[path.get()] = id;
+            reference.insert(id, path.get(), bytes, sim.now());
+            hw::FluidSolver::Flow flow;
+            flow.resources = path.get();
+            flow.sizeBytes = bytes;
+            flow.label = "test/done";
+            flow.done = []() {};
+            paths.push_back(std::move(path));
+            solver.insert(std::move(flow));
+            reshareBoth();
+        } else if (kind < 48) {
+            const auto& table = solver.flows();
+            const std::uint64_t id =
+                table[rng.nextBounded(table.size())].first;
+            solver.erase(id);
+            reference.erase(id, sim.now());
+            reshareBoth();
+        } else if (kind < 60) {
+            const std::size_t r = rng.nextBounded(resources);
+            const double capacity = capacityFor(rng, r);
+            solver.setCapacity(static_cast<int>(r), capacity);
+            reference.setCapacity(r, capacity);
+            reshareBoth();
+        } else {
+            // A completion (the hook re-shares the reference) or a
+            // finished flow's tail event.
+            sim.run(kSimTimeMax, sim.executedEvents() + 1);
+        }
+        check(step);
+    }
+    EXPECT_GT(finished, steps / 20);
+    return rounds;
+}
+
+TEST(FluidSolver, OneBottleneckRoundsMatchFullScanBitForBit)
+{
+    // An incast: every flow crosses resource 5 (a receiver's
+    // down-link) plus up to two others, except in every third stretch
+    // of 400 steps, where one flow in four skips it and re-shares
+    // fill in several rounds.  The hub's capacities include 0 and
+    // thirds, which the other resources' share, so a zero-capacity
+    // bottleneck and equal splits that tie only up to rounding both
+    // occur; resources 0-4 sit below the hub, so a tie the hub loses
+    // changes the fill order.
+    constexpr std::size_t kHub = 5;
+    const double kHubCapacities[] = {0.0, 1e6, 1e6 / 3.0, 2e6 / 3.0,
+                                     5e5};
+    const double kOtherCapacities[] = {1e6 / 3.0, 2e6 / 3.0, 1e6, 2e6,
+                                       3e6,       4e6,       6e6, 8e6,
+                                       1e7,       0.0};
+    const auto capacityFor = [&](random::Rng& rng, std::size_t r) {
+        return r == kHub ? kHubCapacities[rng.nextBounded(5)]
+                         : kOtherCapacities[rng.nextBounded(10)];
+    };
+    const auto incastPath = [](random::Rng& rng, int step) {
+        std::vector<int> path;
+        if ((step / 400) % 3 != 2 || rng.nextBounded(4) != 0)
+            path.push_back(static_cast<int>(kHub));
+        const std::uint64_t extra = rng.nextBounded(3);
+        for (std::uint64_t h = 0; h < extra || path.empty(); ++h) {
+            const int r = static_cast<int>(rng.nextBounded(12));
+            if (std::find(path.begin(), path.end(), r) == path.end())
+                path.push_back(r);
+        }
+        return path;
+    };
+    const std::vector<TightestRound> incast = runAgainstFullScan(
+        12, 20261018, 4000, incastPath, capacityFor);
+    int everyFlow = 0;
+    int zero = 0;
+    int tiedEveryFlow = 0;
+    int several = 0;
+    for (const TightestRound& round : incast) {
+        everyFlow += round.everyFlow;
+        zero += round.everyFlow && round.zeroCapacity;
+        tiedEveryFlow += round.everyFlow && round.tied;
+        several += !round.everyFlow;
+    }
+    EXPECT_GT(everyFlow, 300);
+    EXPECT_GT(zero, 80);
+    EXPECT_GT(tiedEveryFlow, 15);
+    EXPECT_GT(several, 700);
+
+    // A two-head disk: each operation crosses the read head (0) or
+    // the write head (1).  Runs of one kind leave a head carrying
+    // every flow; mixed stretches need two rounds.  The heads share
+    // no flow, so a tie between them cannot change any rate.
+    const auto diskCapacity = [](random::Rng& rng, std::size_t r) {
+        const double read[] = {1e6, 5e5, 0.0};
+        const double write[] = {5e5, 1e6 / 3.0, 1e6};
+        return r == 0 ? read[rng.nextBounded(3)]
+                      : write[rng.nextBounded(3)];
+    };
+    const auto diskOp = [](random::Rng& rng, int step) {
+        const int phase = (step / 300) % 3;  // reads, writes, mixed
+        const int head = phase == 2 ? static_cast<int>(rng.nextBounded(2))
+                                    : phase;
+        return std::vector<int>{head};
+    };
+    const std::vector<TightestRound> disk =
+        runAgainstFullScan(2, 77, 3000, diskOp, diskCapacity);
+    int diskEveryFlow = 0;
+    int diskZero = 0;
+    int diskSeveral = 0;
+    for (const TightestRound& round : disk) {
+        diskEveryFlow += round.everyFlow;
+        diskZero += round.everyFlow && round.zeroCapacity;
+        diskSeveral += !round.everyFlow;
+    }
+    EXPECT_GT(diskEveryFlow, 100);
+    EXPECT_GT(diskZero, 10);
+    EXPECT_GT(diskSeveral, 700);
+}
+
 TEST(FluidSolver, EraseOfUnknownIdThrowsAndKeepsTheTable)
 {
     Simulator sim(1);
@@ -442,6 +774,127 @@ TEST(FlowModel, RejectsZeroCapacityAndDuplicateLinks)
                  std::invalid_argument);
     EXPECT_EQ(model.linkId("ok"), 0);
     EXPECT_EQ(model.linkId("absent"), -1);
+}
+
+TEST(FlowModel, RoutesListingALinkTwiceAreRejected)
+{
+    // The solver counts a route's flow once per listed link, so a
+    // repeated link would make "this link carries every flow" wrong.
+    FlowModel model;
+    const int a = model.addLink({"a", 1e6, 0.0});
+    const int b = model.addLink({"b", 1e6, 0.0});
+    try {
+        model.setRoute(0, 1, {a, b, a});
+        ADD_FAILURE() << "setRoute accepted a repeated link";
+    } catch (const std::invalid_argument& error) {
+        EXPECT_STREQ(error.what(), "flow model route lists link a twice");
+    }
+    EXPECT_FALSE(model.hasRoute(0, 1));
+    model.setRoute(0, 1, {a, b});
+    EXPECT_THROW(model.addBackupRoute(0, 1, {b, b}),
+                 std::invalid_argument);
+    EXPECT_EQ(model.routeCandidates(0, 1).size(), 1u);
+    model.addBackupRoute(0, 1, {b, a});
+    EXPECT_EQ(model.routeCandidates(0, 1).size(), 2u);
+    // Unknown ids are still reported as such.
+    EXPECT_THROW(model.setRoute(1, 0, {a, 7}), std::out_of_range);
+}
+
+TEST(FlowModel, RouteIndexReturnsEveryPairsCandidates)
+{
+    // The perfbench incast fabric: a 4-ary fat tree with 64 hosts,
+    // backup routes on.  Before the first transfer lookups read the
+    // route map; after it, the index built at the freeze.  Both must
+    // name the same candidate lists for every pair.
+    FatTreeConfig config;
+    config.arity = 4;
+    config.oversubscription = 4.0;
+    config.backupRoutes = true;
+    const Topology topo = TopologyBuilder::fatTree(config);
+    ASSERT_EQ(topo.hostCount, 64);
+    auto model = topo.makeModel();
+    FlowModel* flow_model = model.get();
+    const auto n = static_cast<std::size_t>(topo.hostCount);
+    std::vector<const std::vector<std::vector<int>>*> before(n * n,
+                                                            nullptr);
+    for (int from = 0; from < topo.hostCount; ++from) {
+        for (int to = 0; to < topo.hostCount; ++to) {
+            if (from != to) {
+                before[static_cast<std::size_t>(from) * n +
+                       static_cast<std::size_t>(to)] =
+                    &flow_model->routeCandidates(from, to);
+            }
+        }
+    }
+    Simulator sim(1);
+    Cluster cluster(sim, std::move(model));
+    topo.populateCluster(cluster, bareMachine("proto"));
+    hw::Machine& outside = cluster.addMachine(bareMachine("outside"));
+    hw::Machine* h0 = cluster.machines()[0];
+    cluster.network().transfer(h0, cluster.machines()[63], 1000,
+                               []() {});
+    EXPECT_THROW(flow_model->setRoute(0, 1, {0}), std::logic_error);
+
+    int multi = 0;
+    for (int from = 0; from < topo.hostCount; ++from) {
+        for (int to = 0; to < topo.hostCount; ++to) {
+            if (from == to) {
+                EXPECT_FALSE(flow_model->hasRoute(from, to));
+                EXPECT_THROW(flow_model->routeCandidates(from, to),
+                             std::out_of_range);
+                continue;
+            }
+            const auto& candidates = flow_model->routeCandidates(from, to);
+            EXPECT_EQ(&candidates,
+                      before[static_cast<std::size_t>(from) * n +
+                             static_cast<std::size_t>(to)])
+                << from << " -> " << to;
+            EXPECT_TRUE(flow_model->hasRoute(from, to));
+            EXPECT_TRUE(flow_model->reachable(from, to));
+            multi += candidates.size() > 1;
+        }
+    }
+    EXPECT_GT(multi, 1000);
+    // Ids past the index and negative ids have no route either.
+    EXPECT_FALSE(flow_model->hasRoute(0, 64));
+    EXPECT_FALSE(flow_model->hasRoute(-1, 0));
+
+    // A transfer to a machine without a route throws today's message.
+    try {
+        cluster.network().transfer(h0, &outside, 1000, []() {});
+        ADD_FAILURE() << "transfer without a route did not throw";
+    } catch (const std::logic_error& error) {
+        EXPECT_STREQ(error.what(), "flow network model: no route from "
+                                   "\"h0\" to \"outside\"");
+    }
+    sim.run();
+    EXPECT_EQ(flow_model->flowsFinished(), 1u);
+}
+
+TEST(FlowModel, RouteIndexMissInsideTheSpanThrowsTodaysMessage)
+{
+    Simulator sim(1);
+    auto model = FlowModel::make();
+    FlowModel* flow_model = model.get();
+    const int link = flow_model->addLink({"ab", 1e6, 0.0});
+    flow_model->setRoute(0, 1, {link});
+    flow_model->setRoute(2, 0, {link});
+    Cluster cluster(sim, std::move(model));
+    hw::Machine& a = cluster.addMachine(bareMachine("a"));
+    hw::Machine& b = cluster.addMachine(bareMachine("b"));
+    hw::Machine& c = cluster.addMachine(bareMachine("c"));
+    cluster.network().transfer(&a, &b, 1000, []() {});
+    // (0, 2) lies inside the 3 x 3 index but has no route.
+    try {
+        cluster.network().transfer(&a, &c, 1000, []() {});
+        ADD_FAILURE() << "transfer without a route did not throw";
+    } catch (const std::logic_error& error) {
+        EXPECT_STREQ(error.what(),
+                     "flow network model: no route from \"a\" to \"c\"");
+    }
+    cluster.network().transfer(&c, &a, 1000, []() {});
+    sim.run();
+    EXPECT_EQ(flow_model->flowsFinished(), 2u);
 }
 
 /** N equal senders into one oversubscribed down-link: per-flow

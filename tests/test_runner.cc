@@ -2,7 +2,8 @@
  * @file
  * Unit tests for the parallel experiment harness
  * (uqsim/runner/sweep_runner): API contracts, aggregation math,
- * equivalence with the serial sweep, and error propagation.
+ * equivalence with the serial sweep, error propagation, and the
+ * saturation helpers on failed and unsaturated points.
  */
 
 #include <gtest/gtest.h>
@@ -259,6 +260,84 @@ TEST(SweepRunner, MultipleSweepsKeepTheirOrder)
     EXPECT_EQ(curves[1].label, "b");
     EXPECT_DOUBLE_EQ(curves[0].points[0].offeredQps, 5000.0);
     EXPECT_DOUBLE_EQ(curves[1].points[0].offeredQps, 6000.0);
+}
+
+/** A short thrift run: half a simulated second, 0.1 s of warm-up. */
+runner::ReplicatedFactory
+shortThriftFactory()
+{
+    return [](double qps, std::uint64_t seed) {
+        models::ThriftEchoParams params = thriftParams(qps, seed);
+        params.run.warmupSeconds = 0.1;
+        params.run.durationSeconds = 0.5;
+        return Simulation::fromBundle(models::thriftEchoBundle(params));
+    };
+}
+
+TEST(SweepSaturation, PointKilledByItsBudgetIsNotASaturation)
+{
+    // The event budget lets the 500 QPS point finish and kills the
+    // 20 kQPS one.  A killed point reports 0 achieved QPS; read as a
+    // measurement it would be "saturation ~20000 qps".
+    runner::RunnerOptions options;
+    options.jobs = 1;
+    options.limits.maxEvents = 20000;
+    runner::SweepRunner sweep_runner(options);
+    sweep_runner.addSweep("thrift", {500.0, 20000.0},
+                          shortThriftFactory());
+    const std::vector<runner::ReplicatedCurve> curves =
+        sweep_runner.run();
+    ASSERT_EQ(sweep_runner.failedJobs(), 1);
+    EXPECT_EQ(curves[0].points[0].merged, 1);
+    EXPECT_EQ(curves[0].points[1].merged, 0);
+    const SweepCurve curve = curves[0].toSweepCurve();
+    EXPECT_TRUE(curve.points[0].measured());
+    EXPECT_FALSE(curve.points[1].measured());
+    EXPECT_EQ(curve.saturationQps(), 0.0);
+    EXPECT_GT(curve.tailBeforeSaturationMs(), 0.0);
+    EXPECT_EQ(curve.tailBeforeSaturationMs(),
+              curve.points[0].report.endToEnd.p99Ms);
+    const std::string line = formatSaturation(curve);
+    EXPECT_EQ(line.rfind("no saturation up to 500 qps, p99 at that "
+                         "load ",
+                         0),
+              0u)
+        << line;
+
+    // With every point killed nothing was measured at all.
+    SweepCurve none = curve;
+    none.points.erase(none.points.begin());
+    EXPECT_EQ(none.saturationQps(), 0.0);
+    EXPECT_EQ(formatSaturation(none), "no point measured");
+}
+
+TEST(SweepSaturation, UnsaturatedSweepSaysSoInsteadOfZero)
+{
+    runner::RunnerOptions options;
+    options.jobs = 2;
+    runner::SweepRunner sweep_runner(options);
+    sweep_runner.addSweep("thrift", {500.0, 1000.0},
+                          shortThriftFactory());
+    SweepCurve curve = sweep_runner.run()[0].toSweepCurve();
+    ASSERT_EQ(sweep_runner.failedJobs(), 0);
+    // saturationQps() keeps 0 for "nothing saturated"; the figure
+    // benches test for it.
+    EXPECT_EQ(curve.saturationQps(), 0.0);
+    const std::string line = formatSaturation(curve);
+    EXPECT_EQ(line.rfind("no saturation up to 1000 qps, p99 at that "
+                         "load ",
+                         0),
+              0u)
+        << line;
+    EXPECT_EQ(line.find("~0"), std::string::npos) << line;
+
+    // A point whose throughput falls short is named as saturation.
+    curve.points[1].report.achievedQps = 600.0;
+    EXPECT_EQ(curve.saturationQps(), 1000.0);
+    EXPECT_EQ(formatSaturation(curve).rfind("saturation ~1000 qps, p99 "
+                                            "before saturation ",
+                                            0),
+              0u);
 }
 
 }  // namespace
