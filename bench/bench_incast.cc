@@ -3,7 +3,9 @@
  * Flow-model benchmark: the perf trajectory for bandwidth-sharing
  * network simulation.
  *
- * Two workloads, each repeated --reps times (median reported):
+ * Two workloads, each repeated at least --reps times and until its
+ * runs add up to 0.5 s of wall time (median reported; every run's
+ * digest and event count must agree):
  *
  *  - flow_churn     raw FlowModel stress: repeating incast waves on
  *                   an 8-sender star fabric, every start and finish
@@ -41,6 +43,9 @@
 namespace {
 
 using uqsim::json::JsonValue;
+
+/** Wall time each section measures at least, over all its runs. */
+constexpr double kMinMeasuredSeconds = 0.5;
 
 double
 median(std::vector<double> values)
@@ -229,9 +234,15 @@ main(int argc, char** argv)
          []() { return runReplay("replay_incast", incastBundle()); }},
     };
     for (const Spec& spec : specs) {
+        // A section shorter than kMinMeasuredSeconds repeats until it
+        // has measured that long, so its median is not one noisy run.
         std::vector<SectionResult> rep_results;
-        for (int r = 0; r < reps; ++r)
+        double measured = 0.0;
+        while (static_cast<int>(rep_results.size()) < reps ||
+               measured < kMinMeasuredSeconds) {
             rep_results.push_back(spec.run());
+            measured += rep_results.back().wallSeconds;
+        }
         const SectionResult section = best(std::move(rep_results));
         std::printf(
             "%-18s %10llu events  %8.3f s  %12.0f events/s  "

@@ -53,6 +53,15 @@ EventQueue::throwSequenceLimit()
         std::to_string(64 - kSlotBits) + "-bit sequence numbers)");
 }
 
+void
+EventQueue::throwUnreserved(std::uint64_t sequence) const
+{
+    throw std::invalid_argument(
+        "event queue: sequence " + std::to_string(sequence) +
+        " was never reserved (counter at " +
+        std::to_string(nextSequence_) + ")");
+}
+
 std::vector<std::string>
 EventQueue::auditCheck() const
 {
@@ -97,6 +106,23 @@ EventQueue::auditCheck() const
                 std::to_string(entry.sequence()) +
                 " was never assigned (counter at " +
                 std::to_string(nextSequence_) + ")");
+        }
+    }
+
+    // Uniqueness: sequence numbers order ties, so two pending entries
+    // under one reserved number would tie on the slot instead.
+    std::vector<std::uint64_t> keys;
+    keys.reserve(heap_.size());
+    for (const HeapEntry& entry : heap_)
+        keys.push_back(entry.key);
+    std::sort(keys.begin(), keys.end());
+    for (std::size_t i = 1; i < keys.size(); ++i) {
+        if ((keys[i] >> kSlotBits) == (keys[i - 1] >> kSlotBits)) {
+            violations.push_back(
+                "slots " + std::to_string(slotOf(keys[i - 1])) +
+                " and " + std::to_string(slotOf(keys[i])) +
+                " are both pending under sequence " +
+                std::to_string(keys[i] >> kSlotBits));
         }
     }
 

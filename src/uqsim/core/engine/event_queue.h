@@ -19,11 +19,19 @@
  * array beside the heap, so a sift, a re-key or a pending() check
  * touches only the heap and that array, never a slot.  Cancellation
  * removes the entry in O(log n) and recycles its slot at once.
- * rekey() moves a pending event to a new time with one in-place
- * sift, keeping its slot and closure; the outcome is the one
- * cancel() plus schedule() would give.  The key packing bounds a
- * queue to 2^40 sequence numbers and 2^24 slots; past either it
- * throws std::length_error.
+ *
+ * reserveSequence() takes the next sequence number without
+ * scheduling anything; schedule() and rekey() can then place an
+ * event under that number, so it sorts among ties as if it had been
+ * scheduled at the moment of the reservation.  A fluid solver
+ * reserves one number per re-timed flow and keeps one timer at the
+ * earliest flow's (time, number) (hw/fluid_solver.h).  rekey() moves
+ * a pending event with one in-place sift, keeping its slot and
+ * closure; rekey(h, t, reserveSequence()) is cancel() plus schedule()
+ * at t.  Keeping reserved numbers unique among pending events is the
+ * caller's job, and auditCheck() reports a duplicate.  The key
+ * packing bounds a queue to 2^40 sequence numbers and 2^24 slots;
+ * past either it throws std::length_error.
  */
 
 #include <cstddef>
@@ -59,39 +67,77 @@ class EventQueue {
     EventHandle
     schedule(SimTime when, F&& action, const char* label = "callback")
     {
+        // Written out rather than shared with the overload below: a
+        // helper here changes GCC's inlining in callers.
         requireSequence();
         const std::uint32_t index = acquireSlot();
         Slot& s = *slotPtr(index);
         s.action = EventAction(std::forward<F>(action));
         s.label = label;
-        heapPush(HeapEntry{when, takeKey(index)});
+        heapPush(HeapEntry{when, nextSequence_++ << kSlotBits | index});
         return EventHandle(this, index, marks_[index].generation);
     }
 
     /**
-     * Moves the pending event named by @p handle to time @p when.
-     * Equivalent to cancelling it and scheduling the same action and
-     * label at @p when: the event keeps its slot, the slot's
-     * generation goes up by one, the event takes the next sequence
-     * number, and @p handle moves to the new generation (copies of
-     * the old handle stop being pending).  Unlike cancel plus
-     * schedule, the closure stays where it is and the heap entry
-     * sifts once.  Returns false and changes nothing when @p handle
-     * names no pending event (fired, cancelled, firing now, or a
-     * default handle).
+     * schedule() under @p sequence, a number reserveSequence() has
+     * handed out, instead of the next one; takes no number.  Throws
+     * std::invalid_argument, changing nothing, for a number not yet
+     * handed out.
+     */
+    template <typename F>
+    EventHandle
+    schedule(SimTime when, F&& action, const char* label,
+             std::uint64_t sequence)
+    {
+        requireReserved(sequence);
+        const std::uint32_t index = acquireSlot();
+        Slot& s = *slotPtr(index);
+        s.action = EventAction(std::forward<F>(action));
+        s.label = label;
+        heapPush(HeapEntry{when, sequence << kSlotBits | index});
+        return EventHandle(this, index, marks_[index].generation);
+    }
+
+    /**
+     * Takes the next sequence number without scheduling anything, for
+     * a later schedule() or rekey() under it.  Throws
+     * std::length_error, changing nothing, once all kSequenceLimit
+     * numbers are used.
+     */
+    std::uint64_t
+    reserveSequence()
+    {
+        requireSequence();
+        return nextSequence_++;
+    }
+
+    /**
+     * Moves the pending event named by @p handle to (@p when,
+     * @p sequence), where @p sequence is a number reserveSequence()
+     * has handed out: the event keeps its slot and closure, the
+     * slot's generation goes up by one, and @p handle moves to the
+     * new generation (copies of the old handle stop being pending).
+     * rekey(handle, when, reserveSequence()) is cancelling the event
+     * and scheduling the same action and label at @p when, with one
+     * sift instead of a closure rebuild.  Returns false and changes
+     * nothing when @p handle names no pending event (fired,
+     * cancelled, firing now, or a default handle); throws
+     * std::invalid_argument, changing nothing, for a number not yet
+     * handed out.
      */
     bool
-    rekey(EventHandle& handle, SimTime when)
+    rekey(EventHandle& handle, SimTime when, std::uint64_t sequence)
     {
         if (handle.queue_ != this)
             return false;
         SlotMark& mark = marks_[handle.slot_];
         if (mark.generation != handle.generation_ || mark.heapIndex < 0)
             return false;
-        requireSequence();
+        requireReserved(sequence);
         const auto pos = static_cast<std::size_t>(mark.heapIndex);
         handle.generation_ = ++mark.generation;
-        heapRekey(pos, heap_[pos], HeapEntry{when, takeKey(handle.slot_)});
+        heapRekey(pos, heap_[pos],
+                  HeapEntry{when, sequence << kSlotBits | handle.slot_});
         return true;
     }
 
@@ -199,7 +245,8 @@ class EventQueue {
      */
     std::uint64_t pendingStateHash() const;
 
-    /** Total number of events ever scheduled (diagnostics). */
+    /** Sequence numbers handed out so far, by schedule() and
+     *  reserveSequence() alike (diagnostics). */
     std::uint64_t scheduledCount() const { return nextSequence_; }
 
     /** Pool capacity in slots (diagnostics; high-water mark). */
@@ -217,7 +264,8 @@ class EventQueue {
      * (engine invariant auditor):
      *   - 4-ary heap ordering on (when, sequence),
      *   - position consistency (heap entry <-> slot's heap index),
-     *     and every entry's sequence below the counter,
+     *     and every entry's sequence below the counter and unique
+     *     among the pending entries,
      *   - pool accounting: pending + free == capacity, with no slot
      *     stuck in the "executing" state (a leaked FiredEvent).
      * Returns one message per violation; empty when consistent.
@@ -342,13 +390,16 @@ class EventQueue {
     }
     [[noreturn]] static void throwSequenceLimit();
 
-    /** The next sequence number, packed with @p slot; call
-     *  requireSequence() first. */
-    std::uint64_t
-    takeKey(std::uint32_t slot)
+    /** Throws std::invalid_argument when @p sequence has not been
+     *  handed out yet; changes nothing. */
+    void
+    requireReserved(std::uint64_t sequence) const
     {
-        return nextSequence_++ << kSlotBits | slot;
+        if (sequence >= nextSequence_)
+            throwUnreserved(sequence);
     }
+    [[noreturn]] void throwUnreserved(std::uint64_t sequence) const;
+
 
     Slot*
     slotPtr(std::uint32_t index)

@@ -87,19 +87,38 @@ class Simulator {
                                std::forward<F>(callback), label);
     }
 
-    /**
-     * Moves @p handle's pending event to absolute time @p when
-     * (>= now, checked as scheduleAt() checks it, before anything
-     * changes).  See EventQueue::rekey: the result is cancel() plus
-     * scheduleAt() of the same action, minus the closure rebuild.
-     * Returns false, changing nothing, when the event is not pending.
-     */
-    bool
-    rekeyAt(EventHandle& handle, SimTime when)
+    /** Takes the next sequence number without scheduling anything
+     *  (EventQueue::reserveSequence). */
+    std::uint64_t reserveSequence() { return queue_.reserveSequence(); }
+
+    /** scheduleAt() under @p sequence, a number reserveSequence()
+     *  has handed out (EventQueue::schedule); takes no number. */
+    template <typename F>
+    EventHandle
+    scheduleAt(SimTime when, F&& callback, const char* label,
+               std::uint64_t sequence)
     {
         if (when < now_)
             throwSchedulePast(when);
-        return queue_.rekey(handle, when);
+        return queue_.schedule(when, std::forward<F>(callback), label,
+                               sequence);
+    }
+
+    /**
+     * Moves @p handle's pending event to (@p when, @p sequence):
+     * @p when >= now, checked as scheduleAt() checks it, and
+     * @p sequence a number reserveSequence() has handed out, both
+     * before anything changes.  See EventQueue::rekey: with a freshly
+     * reserved number the result is cancel() plus scheduleAt() of the
+     * same action, minus the closure rebuild.  Returns false,
+     * changing nothing, when the event is not pending.
+     */
+    bool
+    rekeyAt(EventHandle& handle, SimTime when, std::uint64_t sequence)
+    {
+        if (when < now_)
+            throwSchedulePast(when);
+        return queue_.rekey(handle, when, sequence);
     }
 
     /**

@@ -584,7 +584,7 @@ FlowModel::foldState(snapshot::Digest& digest) const
         digest.f64(flow.rate);
         digest.f64(flow.tailLatency);
         digest.str(flow.label);
-        digest.boolean(flow.completion.pending());
+        digest.boolean(flow.timed());
     }
     for (const auto& state : linkStates_) {
         digest.i64(state.downCount);

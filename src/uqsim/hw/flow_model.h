@@ -39,9 +39,12 @@
  * solver counts flows per link), so setRoute() and addBackupRoute()
  * reject such a path.
  *
- * Everything advances through engine events ("net/flow" transmission
- * completions), so the determinism contract and the explorer's
- * same-timestamp choice points apply unchanged.  Fault-free runs
+ * Everything advances through engine events: the solver's one
+ * "net/flow" timer, which fires each transmission's last byte under
+ * the key the flow's own event would have had, and one tail event
+ * per message.  So the determinism contract holds unchanged, and the
+ * explorer's same-timestamp choice points see the fabric's due
+ * transmissions as one event, the timer.  Fault-free runs
  * never touch the link-state branches: capacities and latencies
  * multiply by exactly 1.0, so digests stay bit-identical to builds
  * without fault support.

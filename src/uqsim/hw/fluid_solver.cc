@@ -52,6 +52,24 @@ FluidSolver::insert(Flow flow)
 FluidSolver::Flow
 FluidSolver::erase(std::uint64_t id)
 {
+    Flow flow = remove(id);
+    if (flow.timed() && flow.due == armed_) {
+        DueKey earliest;
+        std::uint64_t earliestId = 0;
+        for (const auto& [fid, other] : flows_) {
+            if (other.due < earliest) {
+                earliest = other.due;
+                earliestId = fid;
+            }
+        }
+        arm(earliest, earliestId);
+    }
+    return flow;
+}
+
+FluidSolver::Flow
+FluidSolver::remove(std::uint64_t id)
+{
     const auto entry = std::lower_bound(
         flows_.begin(), flows_.end(), id,
         [](const FlowTable::value_type& e, std::uint64_t key) {
@@ -64,7 +82,6 @@ FluidSolver::erase(std::uint64_t id)
     Flow flow = std::move(entry->second);
     flows_.erase(entry);
     count(flow, -1);
-    flow.completion.cancel();
     return flow;
 }
 
@@ -138,25 +155,35 @@ FluidSolver::reshare()
     if (!oneBottleneck)
         fill(first);
 
-    // Re-time completions in id order.  A flow whose rate did not
-    // change keeps its pending event: the remaining bytes shrank
-    // exactly in step with the old schedule, so the old finish time
-    // still holds (and skipping the re-time avoids rounding drift).
+    // Re-time flows in id order.  A flow whose rate did not change
+    // keeps its key: the remaining bytes shrank exactly in step with
+    // the old schedule, so the old finish time still holds (and
+    // skipping the re-time avoids rounding drift).  A re-timed flow
+    // reserves its sequence number here, where an event of its own
+    // would have taken one, so the counter advances as if each flow
+    // had one.  The same pass finds the earliest key for the timer.
+    DueKey earliest;
+    std::uint64_t earliestId = 0;
     for (std::size_t i = 0; i < flows_.size(); ++i) {
         auto& [id, flow] = flows_[i];
         const double rate = oneBottleneck ? first.share : shares_[i].rate;
-        if (rate == flow.rate && flow.completion.pending())
-            continue;
-        flow.rate = rate;
-        if (rate <= 0.0 && flow.remainingBytes > 0.0) {
-            flow.completion.cancel();
-            continue;  // stalled until a re-share gives it a rate
+        if (rate != flow.rate || !flow.timed()) {
+            flow.rate = rate;
+            if (rate <= 0.0 && flow.remainingBytes > 0.0) {
+                flow.due = DueKey{};
+                continue;  // stalled until a re-share gives it a rate
+            }
+            const SimTime remaining =
+                rate > 0.0 ? secondsToSimTime(flow.remainingBytes / rate)
+                           : 0;
+            flow.due = {sim_->now() + remaining, sim_->reserveSequence()};
         }
-        const SimTime remaining =
-            rate > 0.0 ? secondsToSimTime(flow.remainingBytes / rate)
-                       : 0;
-        retime(id, flow, sim_->now() + remaining);
+        if (flow.due < earliest) {
+            earliest = flow.due;
+            earliestId = id;
+        }
     }
+    arm(earliest, earliestId);
 }
 
 FluidSolver::Bottleneck
@@ -229,20 +256,32 @@ FluidSolver::fill(Bottleneck bottleneck)
 }
 
 void
-FluidSolver::retime(std::uint64_t id, Flow& flow, SimTime when)
+FluidSolver::arm(DueKey due, std::uint64_t id)
 {
-    // A re-key is cancel() plus scheduleAt() without the closure
-    // rebuild: same slot, next generation and sequence number.
-    if (!sim_->rekeyAt(flow.completion, when)) {
-        flow.completion = sim_->scheduleAt(
-            when, [this, id]() { finish(id); }, completionLabel_);
+    if (due == armed_)
+        return;
+    armed_ = due;
+    armedId_ = id;
+    if (!due.timed()) {
+        timer_.cancel();
+        return;
+    }
+    // The timer takes the flow's reserved number, not a new one, so
+    // it sorts exactly where the flow's own event would have.
+    if (!sim_->rekeyAt(timer_, due.when, due.sequence)) {
+        timer_ = sim_->scheduleAt(
+            due.when, [this]() { finish(); }, completionLabel_,
+            due.sequence);
     }
 }
 
 void
-FluidSolver::finish(std::uint64_t id)
+FluidSolver::finish()
 {
-    Flow flow = erase(id);
+    // The timer has fired; the re-share below arms it again.
+    timer_ = EventHandle();
+    armed_ = DueKey{};
+    Flow flow = remove(armedId_);
     if (onFinish_)
         onFinish_(flow);
     // Release the flow's share first, then pay the tail: the others

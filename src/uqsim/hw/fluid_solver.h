@@ -9,17 +9,26 @@
  * every resource it crosses until its last byte moves; reshare()
  * recomputes the shares by progressive filling over the loaded
  * resources only (those some flow crosses: a bitset walked in
- * ascending index order) and re-keys only the completions whose rate
+ * ascending index order) and re-times only the flows whose rate
  * changed.  When the tightest loaded resource carries every active
  * flow (one incast link, one busy disk head), that one round is the
  * whole answer and reshare() skips the per-flow path scan.  Flows
  * sit in a flat table in id order, never hash order, so the
  * arithmetic is bit-reproducible.  A flow's resource list must not
  * name a resource twice (FlowModel rejects such routes): the
- * per-resource flow counts are exact only then.  Full contract:
- * docs/ARCHITECTURE.md §Fluid sharing.
+ * per-resource flow counts are exact only then.
+ *
+ * Completions: a re-timed flow gets a due key, its finish time and a
+ * sequence number reserved from the event queue at that moment, and
+ * the solver keeps one pending timer at the earliest key, (time,
+ * sequence) order.  The timer therefore fires each completion under
+ * exactly the (time, sequence) the flow's own event would have had,
+ * and a re-share moves one heap entry instead of one per flow.  Tail
+ * events (the latency after the last byte) stay one per flow.  Full
+ * contract: docs/ARCHITECTURE.md §Fluid sharing.
  */
 
+#include <compare>
 #include <cstdint>
 #include <limits>
 #include <utility>
@@ -33,6 +42,19 @@ namespace hw {
 /** Max-min fair sharing of resources among flows; see file comment. */
 class FluidSolver {
   public:
+    /** A flow's place in the event order once its last byte is
+     *  timed: the finish time and the sequence number reserved when
+     *  the flow was last re-timed, compared in that order.  The
+     *  default, none, sorts after every timed key. */
+    struct DueKey {
+        SimTime when = kSimTimeMax;
+        std::uint64_t sequence = kUntimed;
+
+        auto operator<=>(const DueKey&) const = default;
+        bool timed() const { return sequence != kUntimed; }
+    };
+    static constexpr std::uint64_t kUntimed = ~std::uint64_t{0};
+
     struct Flow {
         /** Resource ids crossed, none twice; the storage is the
          *  adapter's and must outlive the flow. */
@@ -50,8 +72,12 @@ class FluidSolver {
         DropCallback dropped;
         /** Label of the tail event that fires @c done. */
         const char* label = nullptr;
-        /** Last-byte event; set by reshare(). */
-        EventHandle completion;
+        /** Last-byte key; set by reshare(), none while the flow is
+         *  new or stalled. */
+        DueKey due;
+
+        /** True when the last byte has a finish time. */
+        bool timed() const { return due.timed(); }
     };
 
     /** Active flows as (id, flow) pairs in ascending id order.  Ids
@@ -63,7 +89,7 @@ class FluidSolver {
      *  re-share. */
     using FinishHook = InlineFunction<void(const Flow&), 16>;
 
-    /** Completion events carry @p completionLabel. */
+    /** The completion timer carries @p completionLabel. */
     FluidSolver(const char* completionLabel, FinishHook onFinish);
 
     FluidSolver(const FluidSolver&) = delete;
@@ -81,12 +107,14 @@ class FluidSolver {
      *  nextId() returned before the call.  Rates change only at the
      *  next reshare(). */
     void insert(Flow flow);
-    /** Removes a flow (advancing first) and cancels its completion;
-     *  throws std::out_of_range, changing nothing, when @p id is not
+    /** Removes a flow (advancing first); when the timer was armed
+     *  for it, re-arms the timer for the earliest flow left.  Throws
+     *  std::out_of_range, changing nothing, when @p id is not
      *  active. */
     Flow erase(std::uint64_t id);
-    /** Advances to now, recomputes the max-min allocation, and
-     *  re-times the completions whose rate changed. */
+    /** Advances to now, recomputes the max-min allocation, re-times
+     *  the flows whose rate changed, and arms the timer at the
+     *  earliest due key. */
     void reshare();
 
     /** Active flows in id order. */
@@ -128,11 +156,15 @@ class FluidSolver {
     /** Fills shares_ by progressive filling from the first round's
      *  @p bottleneck. */
     void fill(Bottleneck bottleneck);
-    /** Points flow @p id's completion at @p when: re-keys the pending
-     *  event, or schedules one when none is pending. */
-    void retime(std::uint64_t id, Flow& flow, SimTime when);
-    /** Completion event: the flow's last byte moved. */
-    void finish(std::uint64_t id);
+    /** Removes flow @p id (advancing first), leaving the timer as it
+     *  is; throws like erase(). */
+    Flow remove(std::uint64_t id);
+    /** Points the timer at @p due, flow @p id's key: re-keys it, or
+     *  schedules it when none is pending, or cancels it for none.
+     *  Does nothing when the timer already sits at @p due. */
+    void arm(DueKey due, std::uint64_t id);
+    /** The timer fired: the armed flow's last byte moved. */
+    void finish();
 
     const char* completionLabel_;
     FinishHook onFinish_;
@@ -143,6 +175,11 @@ class FluidSolver {
     /** Bit r set when crossing_[r] > 0 (64 resources per word). */
     std::vector<std::uint64_t> loaded_;
     FlowTable flows_;
+    /** The one completion timer, pending at armed_ (flow armedId_)
+     *  whenever some flow is timed. */
+    EventHandle timer_;
+    DueKey armed_;
+    std::uint64_t armedId_ = 0;
     std::uint64_t nextId_ = 0;
     SimTime lastUpdate_ = 0;
     double busyTicks_ = 0.0;

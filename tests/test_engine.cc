@@ -1,7 +1,8 @@
 /**
  * @file
  * Unit tests for the DES engine: time, events, queue ordering,
- * cancellation, re-keying, the packed heap keys and their bounds,
+ * cancellation, re-keying, reserved sequence numbers, the packed
+ * heap keys and their bounds,
  * the slab event pool with generation-stamped handles, and the
  * simulator run loop.
  */
@@ -14,6 +15,7 @@
 #include <stdexcept>
 #include <string>
 #include <thread>
+#include <tuple>
 #include <vector>
 
 #include "uqsim/core/engine/event_queue.h"
@@ -533,7 +535,13 @@ TEST(EventQueue, RekeyMatchesCancelPlusSchedule)
                         event.label);
                     ++rekeyed;
                 }
-                EXPECT_EQ(keyed.rekey(event.keyed, when), pending);
+                // Today's rekey(h, t) is rekey(h, t, reserveSequence())
+                // for a pending handle; a dead one returns false for
+                // any handed-out number and takes none.
+                const std::uint64_t sequence =
+                    pending ? keyed.reserveSequence() : 0;
+                EXPECT_EQ(keyed.rekey(event.keyed, when, sequence),
+                          pending);
                 if (pending) {
                     EXPECT_TRUE(event.keyed.pending());
                     EXPECT_FALSE(old.pending());
@@ -578,10 +586,11 @@ TEST(EventQueue, RekeyOfDeadHandlesChangesNothing)
     queue.pop().invoke();
     ASSERT_TRUE(cancelled.cancel());
     EventHandle none;
+    // Numbers already handed out: a dead handle takes none of them.
     const std::uint64_t before = engineSection(queue);
-    EXPECT_FALSE(queue.rekey(fired, 10));
-    EXPECT_FALSE(queue.rekey(cancelled, 10));
-    EXPECT_FALSE(queue.rekey(none, 10));
+    EXPECT_FALSE(queue.rekey(fired, 10, 2));
+    EXPECT_FALSE(queue.rekey(cancelled, 10, 1));
+    EXPECT_FALSE(queue.rekey(none, 10, 0));
     EXPECT_EQ(engineSection(queue), before);
     EXPECT_EQ(queue.scheduledCount(), 3u);
     EXPECT_TRUE(queue.auditCheck().empty());
@@ -591,7 +600,7 @@ TEST(EventQueue, RekeyOfDeadHandlesChangesNothing)
     EventHandle self;
     bool selfRekeyed = true;
     self = queue.schedule(
-        0, [&]() { selfRekeyed = queue.rekey(self, 20); }, "self");
+        0, [&]() { selfRekeyed = queue.rekey(self, 20, 3); }, "self");
     queue.pop().invoke();
     EXPECT_FALSE(selfRekeyed);
     EXPECT_EQ(queue.scheduledCount(), 4u);
@@ -604,7 +613,7 @@ TEST(EventQueue, RekeyRetiresCopiesOfTheOldHandle)
     int fired = 0;
     EventHandle handle = queue.schedule(5, [&]() { ++fired; }, "e");
     const EventHandle copy = handle;
-    ASSERT_TRUE(queue.rekey(handle, 9));
+    ASSERT_TRUE(queue.rekey(handle, 9, queue.reserveSequence()));
     EXPECT_FALSE(copy.pending());
     EventHandle stale = copy;
     EXPECT_FALSE(stale.cancel());
@@ -686,7 +695,9 @@ TEST(EventQueue, CompactHeapPopsInReferenceOrderUnderRekeys)
                 eraseReference(*event);
                 const SimTime when =
                     now + static_cast<SimTime>(rng.nextBounded(8));
-                ASSERT_TRUE(queue.rekey(event->handle, when)) << "op " << op;
+                ASSERT_TRUE(queue.rekey(event->handle, when,
+                                        queue.reserveSequence()))
+                    << "op " << op;
                 event->when = when;
                 event->sequence = sequence;
                 reference.emplace_back(when, sequence++);
@@ -716,6 +727,112 @@ TEST(EventQueue, CompactHeapPopsInReferenceOrderUnderRekeys)
     EXPECT_GT(recycled, 1000);
 }
 
+TEST(EventQueue, ReservedNumbersPopInReferenceOrder)
+{
+    // One seeded stream of fresh schedules, reservations, events
+    // placed or re-keyed under older reserved numbers, cancels and
+    // pops, against a sorted reference of (when, sequence).  A placed
+    // event sorts by the number it was given, not by when it was
+    // placed.  The audit runs after every step.
+    random::Rng rng(20261019);
+    EventQueue queue;
+    std::vector<EventHandle> handles;  // by id
+    std::vector<std::tuple<SimTime, std::uint64_t, std::size_t>>
+        reference;  // (when, sequence, id)
+    std::vector<std::uint64_t> unused;  // reserved, not yet placed
+    std::uint64_t sequence = 0;
+    std::size_t lastFired = 0;
+    SimTime now = 0;
+    int placedOld = 0;
+    int rekeyedOld = 0;
+    int popped = 0;
+    const auto takeReserved = [&]() {
+        // The oldest of a few unused numbers, so placed events often
+        // sort before events scheduled since.
+        const std::size_t pick = static_cast<std::size_t>(
+            rng.nextBounded(std::min<std::size_t>(unused.size(), 3)));
+        const std::uint64_t number = unused[pick];
+        unused.erase(unused.begin() + static_cast<std::ptrdiff_t>(pick));
+        return number;
+    };
+    for (int op = 0; op < 6000; ++op) {
+        const std::uint64_t kind = rng.nextBounded(100);
+        const SimTime when = now + static_cast<SimTime>(rng.nextBounded(6));
+        const std::size_t id = handles.size();
+        const auto action = [&lastFired, id]() { lastFired = id; };
+        if (kind < 25 || reference.empty()) {
+            handles.push_back(queue.schedule(when, action, "fresh"));
+            reference.emplace_back(when, sequence++, id);
+        } else if (kind < 40) {
+            EXPECT_EQ(queue.reserveSequence(), sequence);
+            unused.push_back(sequence++);
+        } else if (kind < 55 && !unused.empty()) {
+            const std::uint64_t number = takeReserved();
+            handles.push_back(queue.schedule(when, action, "placed",
+                                             number));
+            reference.emplace_back(when, number, id);
+            placedOld += number + 1 < sequence;
+        } else if (kind < 70) {
+            // Re-key a live event under an older reserved number or a
+            // fresh one.
+            auto& entry = reference[static_cast<std::size_t>(
+                rng.nextBounded(reference.size()))];
+            const bool old = !unused.empty() && rng.nextBounded(2) == 0;
+            const std::uint64_t number =
+                old ? takeReserved() : queue.reserveSequence();
+            if (!old)
+                ++sequence;
+            ASSERT_TRUE(
+                queue.rekey(handles[std::get<2>(entry)], when, number))
+                << "op " << op;
+            std::get<0>(entry) = when;
+            std::get<1>(entry) = number;
+            rekeyedOld += old;
+        } else if (kind < 78) {
+            const std::size_t at = static_cast<std::size_t>(
+                rng.nextBounded(reference.size()));
+            ASSERT_TRUE(handles[std::get<2>(reference[at])].cancel());
+            reference.erase(reference.begin() +
+                            static_cast<std::ptrdiff_t>(at));
+        } else {
+            const auto next =
+                std::min_element(reference.begin(), reference.end());
+            EventQueue::FiredEvent event = queue.pop();
+            ASSERT_TRUE(static_cast<bool>(event));
+            EXPECT_EQ(event.when(), std::get<0>(*next)) << "op " << op;
+            EXPECT_EQ(event.sequence(), std::get<1>(*next)) << "op " << op;
+            now = event.when();
+            event.invoke();
+            EXPECT_EQ(lastFired, std::get<2>(*next)) << "op " << op;
+            reference.erase(next);
+            ++popped;
+        }
+        ASSERT_EQ(queue.size(), reference.size()) << "op " << op;
+        ASSERT_EQ(queue.scheduledCount(), sequence);
+        const std::vector<std::string> findings = queue.auditCheck();
+        ASSERT_TRUE(findings.empty()) << "op " << op << ": "
+                                      << findings.front();
+    }
+    EXPECT_GT(placedOld, 300);
+    EXPECT_GT(rekeyedOld, 150);
+    EXPECT_GT(popped, 1000);
+}
+
+TEST(EventQueue, AuditReportsADuplicatedSequence)
+{
+    EventQueue queue;
+    EventHandle first = queue.schedule(3, [] {}, "first");
+    queue.schedule(7, [] {}, "copy", 0);
+    const std::vector<std::string> findings = queue.auditCheck();
+    ASSERT_EQ(findings.size(), 1u);
+    EXPECT_NE(findings.front().find("both pending under sequence 0"),
+              std::string::npos)
+        << findings.front();
+    // Once one of them is gone the number is unique again.
+    ASSERT_TRUE(first.cancel());
+    EXPECT_TRUE(queue.auditCheck().empty());
+}
+
 TEST(EventQueue, KeyBoundsThrowAndChangeNothing)
 {
     // Sequence numbers take the top 40 bits of a heap key.  The last
@@ -727,7 +844,9 @@ TEST(EventQueue, KeyBoundsThrowAndChangeNothing)
     EventHandle early = queue.schedule(5, [] {}, "early");
     EventHandle last = queue.schedule(3, [] {}, "last");
     EXPECT_THROW(queue.schedule(1, [] {}, "over"), std::length_error);
-    EXPECT_THROW(queue.rekey(early, 9), std::length_error);
+    EXPECT_THROW(queue.rekey(early, 9, queue.reserveSequence()),
+                 std::length_error);
+    EXPECT_THROW(queue.reserveSequence(), std::length_error);
     try {
         queue.schedule(1, [] {}, "over");
     } catch (const std::length_error& error) {
@@ -748,6 +867,33 @@ TEST(EventQueue, KeyBoundsThrowAndChangeNothing)
     EXPECT_FALSE(last.pending());
     EXPECT_TRUE(early.cancel());
     EXPECT_TRUE(queue.empty());
+
+    // A reserved number places an event where a schedule() at the
+    // moment of the reservation would have, the last number
+    // included.  A number not yet handed out throws and changes
+    // nothing.
+    EventQueue reserved;
+    EventQueueBoundsProbe::setNextSequence(
+        reserved, EventQueue::kSequenceLimit - 1);
+    const std::uint64_t lastNumber = reserved.reserveSequence();
+    EXPECT_EQ(lastNumber, EventQueue::kSequenceLimit - 1);
+    EXPECT_THROW(reserved.reserveSequence(), std::length_error);
+    EXPECT_THROW(reserved.schedule(1, [] {}, "unreserved",
+                                   EventQueue::kSequenceLimit),
+                 std::invalid_argument);
+    EXPECT_EQ(reserved.poolCapacity(), 0u);
+    EventHandle placed = reserved.schedule(4, [] {}, "placed", lastNumber);
+    EXPECT_THROW(reserved.rekey(placed, 9, EventQueue::kSequenceLimit),
+                 std::invalid_argument);
+    EXPECT_EQ(reserved.scheduledCount(), EventQueue::kSequenceLimit);
+    EXPECT_TRUE(reserved.auditCheck().empty());
+    {
+        EventQueue::FiredEvent event = reserved.pop();
+        EXPECT_EQ(event.when(), 4);
+        EXPECT_EQ(event.sequence(), EventQueue::kSequenceLimit - 1);
+        EXPECT_STREQ(event.label(), "placed");
+    }
+    EXPECT_TRUE(reserved.empty());
 
     // Slot indices take the low 24 bits.  A queue whose pool already
     // holds every slot they can name throws instead of carving more.
@@ -856,14 +1002,15 @@ TEST(Simulator, RekeyIntoThePastThrowsAndChangesNothing)
     EventHandle later = sim.scheduleAt(20, [] {}, "later");
     sim.run(15);
     ASSERT_EQ(sim.now(), 15);
+    const std::uint64_t sequence = sim.reserveSequence();
     const std::uint64_t scheduled = sim.queue().scheduledCount();
     const std::uint64_t before = engineSection(sim.queue());
-    EXPECT_THROW(sim.rekeyAt(later, 14), std::logic_error);
+    EXPECT_THROW(sim.rekeyAt(later, 14, sequence), std::logic_error);
     EXPECT_TRUE(later.pending());
     EXPECT_EQ(sim.queue().scheduledCount(), scheduled);
     EXPECT_EQ(engineSection(sim.queue()), before);
     // Now is not the past.
-    EXPECT_TRUE(sim.rekeyAt(later, 15));
+    EXPECT_TRUE(sim.rekeyAt(later, 15, sequence));
     sim.run();
     EXPECT_EQ(sim.now(), 15);
 }

@@ -2,7 +2,9 @@
  * @file
  * Network-model tests: the fluid solver's max-min fair shares against
  * closed forms and, over random churn, against a full-scan filling
- * bit for bit (one-bottleneck re-shares included); FlowModel timing
+ * bit for bit (one-bottleneck re-shares included); the solver's one
+ * completion timer (same-tick order, erase and stall hand-offs) and a
+ * pinned fat-tree and shared-disk digest; FlowModel timing
  * against analytical incast shares, the route freeze once transfers
  * flow, the repeated-link check and the route index, the
  * rate-unchanged reschedule skip, fat-tree generator invariants,
@@ -195,9 +197,9 @@ TEST(FluidSolver, RatesMatchFullFillingBitForBit)
             // A flow with a rate has a completion; a stalled one
             // waits for the next re-share without one.
             if (flow.rate > 0.0) {
-                EXPECT_TRUE(flow.completion.pending()) << "step " << step;
+                EXPECT_TRUE(flow.timed()) << "step " << step;
             } else if (flow.remainingBytes > 0.0) {
-                EXPECT_FALSE(flow.completion.pending()) << "step " << step;
+                EXPECT_FALSE(flow.timed()) << "step " << step;
                 ++stalledChecks;
             }
             ++i;
@@ -469,7 +471,7 @@ runAgainstFullScan(
                 << "step " << step << ", flow " << id;
             EXPECT_EQ(flow.remainingBytes, entries[i].remaining)
                 << "step " << step << ", flow " << id;
-            EXPECT_EQ(flow.completion.pending(), entries[i].pending)
+            EXPECT_EQ(flow.timed(), entries[i].pending)
                 << "step " << step << ", flow " << id;
         }
     };
@@ -626,7 +628,7 @@ TEST(FluidSolver, EraseOfUnknownIdThrowsAndKeepsTheTable)
         std::vector<std::tuple<std::uint64_t, double, double, bool>> rows;
         for (const auto& [id, flow] : solver.flows()) {
             rows.emplace_back(id, flow.remainingBytes, flow.rate,
-                              flow.completion.pending());
+                              flow.timed());
         }
         return rows;
     };
@@ -647,6 +649,168 @@ TEST(FluidSolver, EraseOfUnknownIdThrowsAndKeepsTheTable)
     EXPECT_EQ(solver.erase(1).sizeBytes, 4000u);
     ASSERT_EQ(solver.flows().size(), 1u);
     EXPECT_EQ(solver.flows().front().first, 2u);
+}
+
+/** A solver over @p capacities whose finish hook records each
+ *  finished flow's size and the time its last byte moved. */
+struct TimerRig {
+    explicit TimerRig(const std::vector<double>& capacities)
+        : solver("test/flow", [this](const hw::FluidSolver::Flow& flow) {
+              finished.emplace_back(flow.sizeBytes, sim.now());
+          })
+    {
+        solver.bind(sim);
+        for (const double capacity : capacities) {
+            paths.push_back({static_cast<int>(paths.size())});
+            solver.addResource(capacity);
+        }
+    }
+
+    /** Inserts a flow of @p bytes on resource @p r; returns its id. */
+    std::uint64_t
+    add(int r, std::uint64_t bytes)
+    {
+        hw::FluidSolver::Flow flow;
+        flow.resources = &paths[static_cast<std::size_t>(r)];
+        flow.sizeBytes = bytes;
+        flow.label = "test/done";
+        flow.done = []() {};
+        const std::uint64_t id = solver.nextId();
+        solver.insert(std::move(flow));
+        return id;
+    }
+
+    const hw::FluidSolver::Flow&
+    flow(std::uint64_t id) const
+    {
+        for (const auto& [fid, flow] : solver.flows()) {
+            if (fid == id)
+                return flow;
+        }
+        throw std::out_of_range("no flow");
+    }
+
+    Simulator sim{1};
+    std::vector<std::pair<std::uint64_t, SimTime>> finished;
+    std::vector<std::vector<int>> paths;
+    hw::FluidSolver solver;
+};
+
+TEST(FluidSolverTimer, SameTickCompletionsFireInSequenceOrder)
+{
+    // Flow 1 is timed once; flow 0 is re-timed after it to finish at
+    // the same tick.  Flow 1's number is older, so, as with one event
+    // per flow, it fires first although its id is higher.
+    TimerRig rig({1e6, 1e6});
+    const std::uint64_t a = rig.add(0, 1000);
+    const std::uint64_t b = rig.add(1, 2000);
+    rig.solver.reshare();
+    ASSERT_TRUE(rig.flow(b).timed());
+    const hw::FluidSolver::DueKey bKey = rig.flow(b).due;
+    rig.solver.setCapacity(0, 5e5);
+    rig.solver.reshare();
+    const hw::FluidSolver::DueKey aKey = rig.flow(a).due;
+    ASSERT_EQ(aKey.when, bKey.when);
+    ASSERT_LT(bKey.sequence, aKey.sequence);
+    EXPECT_EQ(rig.flow(b).due, bKey);  // rate unchanged: key kept
+    // One timer for both flows.
+    EXPECT_EQ(rig.sim.queue().size(), 1u);
+
+    rig.sim.run();
+    ASSERT_EQ(rig.finished.size(), 2u);
+    EXPECT_EQ(rig.finished[0].first, 2000u);
+    EXPECT_EQ(rig.finished[1].first, 1000u);
+    EXPECT_EQ(rig.finished[0].second, secondsToSimTime(0.002));
+    EXPECT_EQ(rig.finished[1].second, secondsToSimTime(0.002));
+}
+
+TEST(FluidSolverTimer, ErasingTheArmedFlowRearmsForTheNextOne)
+{
+    TimerRig rig({1e6, 1e6, 1e6});
+    const std::uint64_t a = rig.add(0, 1000);
+    const std::uint64_t b = rig.add(1, 3000);
+    const std::uint64_t c = rig.add(2, 5000);
+    rig.solver.reshare();
+    const EventQueue& queue = rig.sim.queue();
+    ASSERT_EQ(queue.nextTime(), secondsToSimTime(0.001));
+
+    // Erasing a flow the timer does not name leaves the timer alone.
+    const std::uint64_t numbers = queue.scheduledCount();
+    rig.solver.erase(c);
+    EXPECT_EQ(queue.size(), 1u);
+    EXPECT_EQ(queue.nextTime(), secondsToSimTime(0.001));
+
+    // Erasing the armed flow, with no re-share after it, moves the
+    // timer to the earliest flow left under that flow's own key.
+    rig.solver.erase(a);
+    EXPECT_EQ(queue.size(), 1u);
+    EXPECT_EQ(queue.nextTime(), rig.flow(b).due.when);
+    EXPECT_EQ(queue.scheduledCount(), numbers);
+    EXPECT_TRUE(queue.auditCheck().empty());
+    rig.sim.run();
+    ASSERT_EQ(rig.finished.size(), 1u);
+    EXPECT_EQ(rig.finished[0].first, 3000u);
+    EXPECT_EQ(rig.finished[0].second, secondsToSimTime(0.003));
+
+    // Erasing the last timed flow cancels the timer.
+    const std::uint64_t d = rig.add(0, 1000);
+    rig.solver.reshare();
+    ASSERT_EQ(queue.size(), 1u);
+    rig.solver.erase(d);
+    EXPECT_TRUE(queue.empty());
+}
+
+TEST(FluidSolverTimer, StalledArmedFlowHandsTheTimerOnAndTakesItBack)
+{
+    TimerRig rig({1e6, 1e6});
+    const std::uint64_t a = rig.add(0, 1000);
+    const std::uint64_t b = rig.add(1, 4000);
+    rig.solver.reshare();
+    const EventQueue& queue = rig.sim.queue();
+    ASSERT_EQ(queue.nextTime(), secondsToSimTime(0.001));
+
+    // At 0.5 ms resource 0 fails: flow a stalls with 500 bytes left
+    // and the timer moves to flow b.
+    rig.sim.scheduleAt(secondsToSimTime(0.0005), [&]() {
+        rig.solver.setCapacity(0, 0.0);
+        rig.solver.reshare();
+    });
+    rig.sim.run(secondsToSimTime(0.0005));
+    EXPECT_FALSE(rig.flow(a).timed());
+    EXPECT_TRUE(rig.flow(b).timed());
+    EXPECT_EQ(queue.size(), 1u);
+    EXPECT_EQ(queue.nextTime(), secondsToSimTime(0.004));
+
+    // Restored at 1 ms, flow a finishes 0.5 ms later, before flow b,
+    // so the timer comes back to it.
+    rig.sim.scheduleAt(secondsToSimTime(0.001), [&]() {
+        rig.solver.setCapacity(0, 1e6);
+        rig.solver.reshare();
+    });
+    rig.sim.run(secondsToSimTime(0.001));
+    EXPECT_TRUE(rig.flow(a).timed());
+    EXPECT_EQ(queue.size(), 1u);
+    EXPECT_EQ(queue.nextTime(), secondsToSimTime(0.0015));
+
+    // With every flow stalled there is no timer at all; both resume
+    // at once, so flow b still finishes at 4 ms.
+    rig.sim.scheduleAt(secondsToSimTime(0.0012), [&]() {
+        rig.solver.setCapacity(0, 0.0);
+        rig.solver.setCapacity(1, 0.0);
+        rig.solver.reshare();
+    });
+    rig.sim.run(secondsToSimTime(0.0012));
+    EXPECT_TRUE(queue.empty());
+    rig.solver.setCapacity(0, 1e6);
+    rig.solver.setCapacity(1, 1e6);
+    rig.solver.reshare();
+
+    rig.sim.run();
+    ASSERT_EQ(rig.finished.size(), 2u);
+    EXPECT_EQ(rig.finished[0].first, 1000u);
+    EXPECT_EQ(rig.finished[0].second, secondsToSimTime(0.0015));
+    EXPECT_EQ(rig.finished[1].first, 4000u);
+    EXPECT_EQ(rig.finished[1].second, secondsToSimTime(0.004));
 }
 
 // --------------------------------------------------- FlowModel timing
@@ -1417,6 +1581,34 @@ TEST(FanoutFatTree, RunsEndToEndOnGeneratedCluster)
     const RunReport report = simulation->run();
     EXPECT_GT(report.completed, 50u);
     EXPECT_GT(report.endToEnd.p99Ms, 0.0);
+}
+
+TEST(FluidSolverDigests, FabricAndDiskRunsArePinned)
+{
+    // One short run per solver adapter: the fat tree on the flow
+    // model and the cache stampede on a shared disk.  A change to how
+    // the solver books its completions must keep both traces.
+    const auto pin = [](ConfigBundle bundle) {
+        auto simulation = Simulation::fromBundle(std::move(bundle));
+        simulation->run();
+        return std::make_pair(simulation->sim().traceDigest(),
+                              simulation->sim().executedEvents());
+    };
+    const auto fabric =
+        pin(models::fanoutFatTreeBundle(smallFatTreeParams(400.0, 3)));
+    EXPECT_EQ(fabric.first, 0xe0537a8a0c47932dULL);
+    EXPECT_EQ(fabric.second, 17878u);
+
+    models::CacheStampedeParams stampede;
+    stampede.run.qps = 3000.0;
+    stampede.run.seed = 11;
+    stampede.run.warmupSeconds = 0.1;
+    stampede.run.durationSeconds = 0.5;
+    stampede.run.clientConnections = 64;
+    stampede.hitRate = 0.35;
+    const auto disk = pin(models::cacheStampedeBundle(stampede));
+    EXPECT_EQ(disk.first, 0x6668f35a68d425daULL);
+    EXPECT_EQ(disk.second, 29200u);
 }
 
 std::vector<runner::ReplicatedCurve>
