@@ -1,121 +1,57 @@
 /**
  * @file
  * Engine throughput benchmark: the perf trajectory for the
- * discrete-event hot path.
+ * discrete-event hot path, gated against BENCH_engine.json.
  *
- * Three workloads, each repeated --reps times (median reported):
+ *  - churn            raw Simulator schedule/fire/cancel churn: a ring
+ *                     of self-rescheduling events plus timeout events
+ *                     that are almost always cancelled (the
+ *                     cancellation-heavy pattern client timeouts
+ *                     produce).
+ *  - replay_fanout    the Fig. 14 tail-at-scale fan-out replay (100
+ *                     leaf servers, 1% slow), end to end through
+ *                     dispatcher, network, IRQ, and instances.
+ *  - replay_two_tier  the Fig. 5 NGINX-memcached system at 20 kQPS.
  *
- *  - churn          raw Simulator schedule/fire/cancel churn: a ring
- *                   of self-rescheduling events plus timeout events
- *                   that are almost always cancelled (the
- *                   cancellation-heavy pattern client timeouts
- *                   produce).
- *  - replay_fanout  the Fig. 14 tail-at-scale fan-out replay (100
- *                   leaf servers, 1% slow), end to end through
- *                   dispatcher, network, IRQ, and instances.
- *  - replay_two_tier the Fig. 5 NGINX-memcached system at 20 kQPS.
- *
- * Each replay also prints its trace digest so engine changes can be
- * checked for bit-exact determinism against a previous build.
- * Results are written as JSON (default BENCH_engine.json) so CI can
- * compare events/sec against the committed baseline.
+ * engine_bench.h times the sections and prints each one's trace
+ * digest, so engine changes can be checked for bit-exact determinism
+ * against a previous build.
  */
 
-#include <chrono>
-#include <cstdio>
-#include <cstring>
-#include <fstream>
-#include <string>
-#include <vector>
-
-#include "uqsim/core/sim/simulation.h"
-#include "uqsim/json/json_value.h"
-#include "uqsim/json/json_writer.h"
+#include "engine_bench.h"
 #include "uqsim/models/applications.h"
 
 namespace {
 
-using uqsim::json::JsonValue;
-
-double
-median(std::vector<double> values)
-{
-    std::sort(values.begin(), values.end());
-    return values[values.size() / 2];
-}
-
-struct SectionResult {
-    std::string name;
-    std::uint64_t events = 0;
-    double wallSeconds = 0.0;
-    double eventsPerSec = 0.0;
-    std::uint64_t digest = 0;
-};
+using namespace uqsim;
 
 /** Raw engine churn: self-rescheduling ring + mostly-cancelled
  *  timeouts, the two dominant event patterns in a simulation. */
-SectionResult
-runChurn(int rounds)
+bench::SectionRun
+churn()
 {
-    using Clock = std::chrono::steady_clock;
-    uqsim::Simulator sim(99);
     constexpr int kRing = 256;
-    constexpr uqsim::SimTime kStep = 1000;
-    std::uint64_t fires = 0;
-    std::uint64_t cancels = 0;
-    uqsim::EventHandle timeout;
-    const std::uint64_t max_events =
-        static_cast<std::uint64_t>(rounds) * 1000000ULL;
+    constexpr SimTime kStep = 1000;
+    constexpr std::uint64_t kEvents = 4000000;
+    Simulator sim(99);
+    EventHandle timeout;
     std::function<void()> tick;
-    tick = [&sim, &fires, &timeout, &cancels, &tick]() {
-        ++fires;
+    tick = [&sim, &timeout, &tick]() {
         // Arm a far-future timeout and immediately cancel the
         // previous one: the client-timeout pattern.
-        if (timeout.cancel())
-            ++cancels;
-        timeout =
-            sim.scheduleAfter(kStep * 1000, []() {}, "churn/timeout");
+        timeout.cancel();
+        timeout = sim.scheduleAfter(kStep * 1000, []() {}, "churn/timeout");
         sim.scheduleAfter(kStep, tick, "churn/tick");
     };
-    for (int i = 0; i < kRing; ++i) {
-        sim.scheduleAt(static_cast<uqsim::SimTime>(i), tick,
-                       "churn/seed");
-    }
-    const auto start = Clock::now();
-    sim.run(uqsim::kSimTimeMax, max_events);
-    const double wall =
-        std::chrono::duration<double>(Clock::now() - start).count();
-    SectionResult result;
-    result.name = "churn";
-    result.events = sim.executedEvents();
-    result.wallSeconds = wall;
-    result.eventsPerSec = static_cast<double>(result.events) / wall;
-    result.digest = sim.traceDigest();
-    return result;
+    for (int i = 0; i < kRing; ++i)
+        sim.scheduleAt(static_cast<SimTime>(i), tick, "churn/seed");
+    return bench::timeRun(sim, [&] { sim.run(kSimTimeMax, kEvents); });
 }
 
-SectionResult
-runReplay(const std::string& name, const uqsim::ConfigBundle& bundle)
-{
-    using Clock = std::chrono::steady_clock;
-    auto simulation = uqsim::Simulation::fromBundle(bundle);
-    const auto start = Clock::now();
-    const uqsim::RunReport report = simulation->run();
-    const double wall =
-        std::chrono::duration<double>(Clock::now() - start).count();
-    SectionResult result;
-    result.name = name;
-    result.events = report.events;
-    result.wallSeconds = wall;
-    result.eventsPerSec = static_cast<double>(report.events) / wall;
-    result.digest = simulation->sim().traceDigest();
-    return result;
-}
-
-uqsim::ConfigBundle
+ConfigBundle
 fanoutBundle()
 {
-    uqsim::models::TailAtScaleParams params;
+    models::TailAtScaleParams params;
     params.run.qps = 120.0;
     params.run.seed = 1714;
     params.run.warmupSeconds = 0.25;
@@ -123,40 +59,18 @@ fanoutBundle()
     params.run.clientConnections = 64;
     params.clusterSize = 100;
     params.slowFraction = 0.01;
-    return uqsim::models::tailAtScaleBundle(params);
+    return models::tailAtScaleBundle(params);
 }
 
-uqsim::ConfigBundle
+ConfigBundle
 twoTierBundle()
 {
-    uqsim::models::TwoTierParams params;
+    models::TwoTierParams params;
     params.run.qps = 20000.0;
     params.run.seed = 42;
     params.run.warmupSeconds = 0.25;
     params.run.durationSeconds = 2.0;
-    return uqsim::models::twoTierBundle(params);
-}
-
-SectionResult
-best(std::vector<SectionResult> reps)
-{
-    std::vector<double> rates;
-    rates.reserve(reps.size());
-    for (const SectionResult& rep : reps)
-        rates.push_back(rep.eventsPerSec);
-    SectionResult result = reps.front();
-    for (const SectionResult& rep : reps) {
-        if (rep.digest != result.digest || rep.events != result.events) {
-            std::fprintf(stderr,
-                         "FATAL: %s not deterministic across reps\n",
-                         result.name.c_str());
-            std::exit(1);
-        }
-    }
-    result.eventsPerSec = median(rates);
-    result.wallSeconds =
-        static_cast<double>(result.events) / result.eventsPerSec;
-    return result;
+    return models::twoTierBundle(params);
 }
 
 }  // namespace
@@ -164,77 +78,10 @@ best(std::vector<SectionResult> reps)
 int
 main(int argc, char** argv)
 {
-    int reps = 5;
-    int churn_rounds = 4;
-    std::string out = "BENCH_engine.json";
-    for (int i = 1; i < argc; ++i) {
-        if (std::strcmp(argv[i], "--reps") == 0 && i + 1 < argc) {
-            reps = std::atoi(argv[++i]);
-        } else if (std::strcmp(argv[i], "--out") == 0 && i + 1 < argc) {
-            out = argv[++i];
-        } else if (std::strcmp(argv[i], "--quick") == 0) {
-            reps = 2;
-            churn_rounds = 1;
-        } else {
-            std::fprintf(stderr,
-                         "usage: %s [--reps N] [--out FILE] [--quick]\n",
-                         argv[0]);
-            return 2;
-        }
-    }
-    if (reps < 1)
-        reps = 1;
-
-    std::vector<SectionResult> sections;
-    struct Spec {
-        const char* name;
-        std::function<SectionResult()> run;
-    };
-    const Spec specs[] = {
-        {"churn", [&]() { return runChurn(churn_rounds); }},
-        {"replay_fanout",
-         []() { return runReplay("replay_fanout", fanoutBundle()); }},
-        {"replay_two_tier",
-         []() { return runReplay("replay_two_tier", twoTierBundle()); }},
-    };
-    for (const Spec& spec : specs) {
-        std::vector<SectionResult> rep_results;
-        for (int r = 0; r < reps; ++r)
-            rep_results.push_back(spec.run());
-        const SectionResult section = best(std::move(rep_results));
-        std::printf(
-            "%-18s %10llu events  %8.3f s  %12.0f events/s  "
-            "digest %016llx\n",
-            section.name.c_str(),
-            static_cast<unsigned long long>(section.events),
-            section.wallSeconds, section.eventsPerSec,
-            static_cast<unsigned long long>(section.digest));
-        sections.push_back(section);
-    }
-
-    JsonValue doc = JsonValue::makeObject();
-    doc.asObject()["schema"] = "uqsim-bench-engine-v1";
-    doc.asObject()["reps"] = reps;
-    JsonValue list = JsonValue::makeArray();
-    for (const SectionResult& section : sections) {
-        JsonValue entry = JsonValue::makeObject();
-        entry.asObject()["name"] = section.name;
-        entry.asObject()["events"] = section.events;
-        entry.asObject()["wall_s"] = section.wallSeconds;
-        entry.asObject()["events_per_sec"] = section.eventsPerSec;
-        char digest[32];
-        std::snprintf(digest, sizeof(digest), "%016llx",
-                      static_cast<unsigned long long>(section.digest));
-        entry.asObject()["trace_digest"] = digest;
-        list.asArray().push_back(std::move(entry));
-    }
-    doc.asObject()["sections"] = std::move(list);
-    std::ofstream file(out);
-    file << uqsim::json::writePretty(doc) << "\n";
-    if (!file) {
-        std::fprintf(stderr, "failed to write %s\n", out.c_str());
-        return 1;
-    }
-    std::printf("wrote %s\n", out.c_str());
-    return 0;
+    return bench::runSections(
+        argc, argv,
+        {{"churn", churn},
+         {"replay_fanout", [] { return bench::replay(fanoutBundle()); }},
+         {"replay_two_tier",
+          [] { return bench::replay(twoTierBundle()); }}});
 }

@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Compare a fresh BENCH_engine.json against the committed baseline.
+"""Compare a fresh engine-bench JSON file against its committed baseline.
 
 Usage:
     check_bench.py BASELINE CANDIDATE [--tolerance 0.20]
@@ -40,8 +40,9 @@ def load_sections(path):
             doc = json.load(fh)
     except FileNotFoundError:
         raise BenchFileError(
-            f"{path}: no such file (run bench_engine --json first, or "
-            "restore the committed baseline)") from None
+            f"{path}: no such file (write it with bench_engine, "
+            "bench_incast or bench_storage --out FILE, or restore the "
+            "committed baseline)") from None
     except OSError as error:
         raise BenchFileError(f"{path}: cannot read: {error}") from None
     except json.JSONDecodeError as error:

@@ -148,10 +148,6 @@ class EventQueue {
      *  eagerly, so this is exact). */
     std::size_t size() const { return heap_.size(); }
 
-    /** Exact number of live pending events.  Alias of size(); kept
-     *  for diagnostics parity with the lazy-purge queue. */
-    std::size_t liveSize() const { return heap_.size(); }
-
     /** Firing time of the earliest event; kSimTimeMax if none. */
     SimTime
     nextTime() const

@@ -27,8 +27,8 @@
 #include "uqsim/core/engine/simulator.h"
 #include "uqsim/hw/dvfs.h"
 #include "uqsim/power/qos_bucket.h"
+#include "uqsim/stats/percentile_recorder.h"
 #include "uqsim/stats/time_series.h"
-#include "uqsim/stats/windowed_tail_tracker.h"
 
 namespace uqsim {
 namespace power {
@@ -117,8 +117,8 @@ class PowerManager {
     std::map<std::string, std::size_t> tierIndex_;
     random::RngStream rng_;
     QosBucketTable buckets_;
-    stats::WindowedTailTracker endToEndWindow_;
-    std::vector<stats::WindowedTailTracker> tierWindows_;
+    stats::PercentileRecorder endToEndWindow_;
+    std::vector<stats::PercentileRecorder> tierWindows_;
     TierTuple targets_;
     std::size_t targetBucket_;
     int cyclesSinceRetarget_ = 0;

@@ -103,27 +103,5 @@ restoreFromSnapshot(Simulation& simulation, const std::string& path)
     }
 }
 
-std::unique_ptr<Simulation>
-forkFromSnapshot(
-    const std::function<std::unique_ptr<Simulation>()>& factory,
-    const std::string& path, const ForkOptions& options)
-{
-    std::unique_ptr<Simulation> forked = factory();
-    if (!forked) {
-        throw std::logic_error(
-            "forkFromSnapshot: factory returned null");
-    }
-    restoreFromSnapshot(*forked, path);
-    // Divergence knobs apply only after the restore validated the
-    // original configuration.
-    for (auto& client : forked->clients()) {
-        if (options.reseedToken != 0)
-            client->reseed(options.reseedToken);
-        if (options.loadScale != 1.0)
-            client->scaleLoad(options.loadScale);
-    }
-    return forked;
-}
-
 }  // namespace snapshot
 }  // namespace uqsim

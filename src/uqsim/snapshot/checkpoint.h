@@ -3,8 +3,8 @@
 
 /**
  * @file
- * Verified restore and warm-state forking on top of the snapshot
- * format (snapshot.h, docs/FORMATS.md).
+ * Verified restore on top of the snapshot format (snapshot.h,
+ * docs/FORMATS.md).
  *
  * writeCheckpoint() stores a paused simulation's replay coordinates
  * and layer folds as "<dir>/<prefix>-e<events>.uqsnap" via
@@ -18,17 +18,12 @@
  * a Simulation from the identical configuration, and
  * restoreFromSnapshot() replays it to the snapshot's executed-event
  * count, checks the trace digest, and compares the seven per-layer
- * folds.  forkFromSnapshot() additionally re-seeds the client
- * workload streams and/or scales the offered load — the warm-state
- * forking workflow (examples/warm_fork.cpp): many what-if
- * continuations from one validated warm state.  Every restore or
- * fork replays from event 0, so neither saves wall time; a killed
- * sweep resumes from its run journal instead (runner/run_journal.h).
+ * folds.  Every restore replays from event 0, so it saves no wall
+ * time; a killed sweep resumes from its run journal instead
+ * (runner/run_journal.h), and a warm-state fork pauses a fresh run
+ * at its warm-up boundary in memory (examples/warm_fork.cpp).
  */
 
-#include <cstdint>
-#include <functional>
-#include <memory>
 #include <string>
 
 #include "uqsim/core/sim/simulation.h"
@@ -63,29 +58,6 @@ std::string writeCheckpoint(const Simulation& simulation,
  */
 void restoreFromSnapshot(Simulation& simulation,
                          const std::string& path);
-
-/** What to change in a forked continuation. */
-struct ForkOptions {
-    /** Re-seed every client's workload stream from this master seed;
-     *  0 keeps the original streams (the fork then replays the
-     *  original run exactly). */
-    std::uint64_t reseedToken = 0;
-    /** Multiply every client's offered-load pattern; 1.0 keeps the
-     *  original load. */
-    double loadScale = 1.0;
-};
-
-/**
- * Warm-state fork: builds a fresh Simulation via @p factory (which
- * must reproduce the checkpointed configuration and finalize() it),
- * restores @p path into it, then applies @p options.  The divergence
- * knobs are applied *after* restore validation, so the restore still
- * checks against the original configuration.
- */
-std::unique_ptr<Simulation>
-forkFromSnapshot(
-    const std::function<std::unique_ptr<Simulation>()>& factory,
-    const std::string& path, const ForkOptions& options = {});
 
 }  // namespace snapshot
 }  // namespace uqsim

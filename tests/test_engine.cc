@@ -385,7 +385,6 @@ TEST(EventQueue, EagerCancelReclaimsSlots)
             EXPECT_TRUE(handle.cancel());
     }
     EXPECT_EQ(queue.size(), live.size());
-    EXPECT_EQ(queue.liveSize(), live.size());
     // 1000 live slots; the pool holds them plus at most a slab of
     // slack, nowhere near the 100000 the purge-based queue flirted
     // with before its scans kicked in.

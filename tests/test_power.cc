@@ -6,6 +6,8 @@
 
 #include <gtest/gtest.h>
 
+#include "uqsim/core/sim/simulation.h"
+#include "uqsim/models/applications.h"
 #include "uqsim/power/energy_model.h"
 #include "uqsim/power/power_manager.h"
 #include "uqsim/power/qos_bucket.h"
@@ -254,6 +256,52 @@ TEST(PowerManager, ConstructorValidation)
         PowerManager(sim, config,
                      std::vector<TierControl>{{"t", {}}}),
         std::invalid_argument);
+}
+
+TEST(PowerManager, ManagedTwoTierRunIsPinned)
+{
+    // Algorithm 1 on a short diurnal two-tier run with a tight
+    // target, so windows both meet and violate it.  Each decision
+    // reads its window's count and type-7 p99, so a change to either
+    // moves the pinned tail sum, the counts, the frequencies or the
+    // trace digest.
+    models::PowerTwoTierParams params;
+    params.run.seed = 11;
+    params.run.warmupSeconds = 0.5;
+    params.run.durationSeconds = 6.0;
+    params.baseQps = 5000.0;
+    params.amplitudeQps = 3500.0;
+    params.periodSeconds = 6.0;
+    auto simulation =
+        Simulation::fromBundle(models::powerTwoTierBundle(params));
+    PowerManagerConfig config;
+    config.intervalSeconds = 0.1;
+    config.qosTargetSeconds = 0.6e-3;
+    hw::DvfsDomain* nginx =
+        simulation->deployment().instance("nginx", 0).dvfs();
+    hw::DvfsDomain* memcached =
+        simulation->deployment().instance("memcached", 0).dvfs();
+    PowerManager manager(
+        simulation->sim(), config,
+        {{"nginx", {nginx}}, {"memcached", {memcached}}});
+    simulation->setCompletionListener(
+        [&](const Job&, double seconds) { manager.noteEndToEnd(seconds); });
+    simulation->setTierListener(
+        [&](const std::string& tier, double seconds) {
+            manager.noteTierLatency(tier, seconds);
+        });
+    manager.start();
+    simulation->run();
+
+    double tail_sum_ms = 0.0;
+    for (const auto& point : manager.tailSeries().points())
+        tail_sum_ms += point.value;
+    EXPECT_EQ(manager.windows(), 60u);
+    EXPECT_EQ(manager.violations(), 13u);
+    EXPECT_DOUBLE_EQ(tail_sum_ms, 33.085129520000002);
+    EXPECT_DOUBLE_EQ(nginx->frequency(), 2.4);
+    EXPECT_DOUBLE_EQ(memcached->frequency(), 2.2);
+    EXPECT_EQ(simulation->sim().traceDigest(), 0xb1867a8d3cea1fa0ULL);
 }
 
 // --------------------------------------------------------- EnergyModel

@@ -5,7 +5,8 @@
  * bit flips, version and size gating, layer-fold mismatches), the
  * segmented-run determinism contract (checkpoint placement is
  * invisible to the event stream), replay-validated restore under
- * faults / FlowModel routing / disk I/O, and warm-state forking.
+ * faults / FlowModel routing / disk I/O, and in-memory warm-state
+ * forking (a run paused at its warm-up boundary).
  * A killed sweep resumes from its run journal, not from snapshots;
  * test_harness covers that.
  */
@@ -557,33 +558,35 @@ TEST(CheckpointDeterminism, ConfigOrSeedDriftIsAHardError)
 
 TEST(WarmFork, UnmodifiedForkReplaysReseedDivergesScaleLoads)
 {
-    DirJanitor janitor;
-    const std::string dir = janitor.track(tempDir("fork"));
     const auto factory = [] { return makeTwoTier(4000.0, 21); };
     const std::uint64_t reference = straightThroughDigest(factory);
 
-    auto warm = factory();
-    warm->advanceToTime(secondsToSimTime(0.2));
-    const std::string path =
-        snapshot::writeCheckpoint(*warm, dir, "warm");
+    // A fork pauses a fresh run at the warm-up boundary, changes its
+    // clients, then finishes the run; no snapshot file is involved.
+    const auto warm_fork = [&factory](std::uint64_t reseed, double scale) {
+        auto forked = factory();
+        forked->advanceToTime(secondsToSimTime(0.2));
+        for (auto& client : forked->clients()) {
+            if (reseed != 0)
+                client->reseed(reseed);
+            if (scale != 1.0)
+                client->scaleLoad(scale);
+        }
+        return forked;
+    };
 
     // scale 1.0 / no reseed: the fork IS the original run.
-    auto identical =
-        snapshot::forkFromSnapshot(factory, path, {});
+    auto identical = warm_fork(0, 1.0);
     const RunReport identical_report = identical->finishRun();
     EXPECT_EQ(identical->sim().traceDigest(), reference);
 
     // Reseeded fork: same warm state, decorrelated workload.
-    snapshot::ForkOptions reseed;
-    reseed.reseedToken = 99;
-    auto reseeded = snapshot::forkFromSnapshot(factory, path, reseed);
+    auto reseeded = warm_fork(99, 1.0);
     reseeded->finishRun();
     EXPECT_NE(reseeded->sim().traceDigest(), reference);
 
     // Load-scaled fork: clearly more offered (and achieved) load.
-    snapshot::ForkOptions scaled;
-    scaled.loadScale = 1.5;
-    auto heavier = snapshot::forkFromSnapshot(factory, path, scaled);
+    auto heavier = warm_fork(0, 1.5);
     const RunReport heavier_report = heavier->finishRun();
     EXPECT_NE(heavier->sim().traceDigest(), reference);
     EXPECT_GT(heavier_report.achievedQps,

@@ -15,7 +15,6 @@
 #include "uqsim/stats/running_quantile.h"
 #include "uqsim/stats/summary.h"
 #include "uqsim/stats/time_series.h"
-#include "uqsim/stats/windowed_tail_tracker.h"
 
 namespace uqsim {
 namespace stats {
@@ -207,37 +206,6 @@ TEST(RunningQuantile, MatchesRecorderBitForBitAfterEveryAdd)
         }
         EXPECT_EQ(running.front().count(), recorder.count());
     }
-}
-
-// ------------------------------------------------- WindowedTailTracker
-
-TEST(WindowedTailTracker, CloseComputesAndResets)
-{
-    WindowedTailTracker tracker;
-    for (int i = 1; i <= 100; ++i)
-        tracker.add(static_cast<double>(i));
-    EXPECT_EQ(tracker.pending(), 100u);
-    const WindowStats stats = tracker.close();
-    EXPECT_EQ(stats.count, 100u);
-    EXPECT_DOUBLE_EQ(stats.mean, 50.5);
-    EXPECT_DOUBLE_EQ(stats.p50, 50.5);
-    EXPECT_NEAR(stats.p99, 99.01, 1e-9);
-    EXPECT_DOUBLE_EQ(stats.max, 100.0);
-    EXPECT_EQ(tracker.pending(), 0u);
-    const WindowStats empty = tracker.close();
-    EXPECT_EQ(empty.count, 0u);
-    EXPECT_DOUBLE_EQ(empty.p99, 0.0);
-}
-
-TEST(WindowedTailTracker, PeekDoesNotReset)
-{
-    WindowedTailTracker tracker;
-    tracker.add(1.0);
-    tracker.add(3.0);
-    const WindowStats peeked = tracker.peek();
-    EXPECT_EQ(peeked.count, 2u);
-    EXPECT_DOUBLE_EQ(peeked.mean, 2.0);
-    EXPECT_EQ(tracker.pending(), 2u);
 }
 
 // ------------------------------------------------------------ TimeSeries
