@@ -17,17 +17,17 @@
  * across-replication confidence intervals.  --json emits the full
  * structured report (including fault counters) instead of text.
  *
- * The robustness flags apply to replicated runs (--reps > 1): a
- * failed replication is classified, journaled (--journal), and
- * salvaged around unless --strict asks for fail-fast; --resume skips
- * replications an earlier journal recorded ok; the limit flags kill
- * runaway or stalled replications (reported as timeouts).  Each
- * limit is checked between events, at most 1,024 events apart:
- * --max-events N caps the executed events, --wall-timeout S the wall
- * time from the replication's first event, and --stall-timeout S
- * the wall time the simulated clock may stand still.  Exit status 2
- * marks a salvaged run with failures; 1 means no usable result at
- * all, or a malformed number.
+ * Every run goes through the replication runner, so the robustness
+ * flags apply at --reps 1 too: a failed replication is classified,
+ * journaled (--journal), and salvaged around unless --strict asks
+ * for fail-fast; --resume skips replications an earlier journal
+ * recorded ok; the limit flags kill runaway or stalled replications
+ * (reported as timeouts).  Each limit is checked between events, at
+ * most 1,024 events apart: --max-events N caps the executed events,
+ * --wall-timeout S the wall time from the replication's first event,
+ * and --stall-timeout S the wall time the simulated clock may stand
+ * still.  Exit status 2 marks a salvaged run with failures; 1 means
+ * no usable result at all, or a malformed number.
  *
  * Every number must parse whole (cli_flags.h): --qps, --duration
  * and --reps are positive, --warmup, --seed, --jobs and the limits
@@ -161,31 +161,9 @@ main(int argc, char** argv)
         if (seed)
             bundle.options.seed = *seed;
 
-        if (reps <= 1) {
-            auto simulation = Simulation::fromBundle(bundle);
-            const RunReport report = simulation->run();
-            if (json_out) {
-                std::cout << report.toJsonString() << '\n';
-            } else if (csv) {
-                std::cout << RunReport::csvHeader() << '\n'
-                          << report.toCsvRow() << '\n';
-            } else {
-                std::cout << report.toString();
-                std::cout << "events: " << report.events << " ("
-                          << static_cast<long>(
-                                 report.events /
-                                 std::max(report.wallSeconds, 1e-9))
-                          << " events/s wall)\n";
-                if (report.timeouts > 0) {
-                    std::cout << "client timeouts: "
-                              << report.timeouts << '\n';
-                }
-            }
-            return 0;
-        }
-
-        // Replicated run: one isolated simulation per seed split,
-        // executed on the worker pool, pooled for the report.
+        // Every run, a single one too, is replicated: one isolated
+        // simulation per seed split under the limit flags, executed
+        // on the worker pool and pooled for the report.
         runner::RunnerOptions options;
         options.jobs = jobs;
         options.replications = reps;
@@ -203,7 +181,6 @@ main(int argc, char** argv)
                 return Simulation::fromBundle(replicated);
             },
             qps.value_or(0.0), options);
-        const RunReport merged = point.mergedReport();
         if (point.merged == 0) {
             std::fprintf(stderr,
                          "error: all %d replication(s) failed:\n",
@@ -217,13 +194,30 @@ main(int argc, char** argv)
             }
             return 1;
         }
+        // A single simulated replication prints its own report, per-
+        // tier lines and wall time included; a restored one has
+        // neither and prints as a pooled point.
+        const bool single =
+            reps == 1 && !point.replications.front().restored;
+        const RunReport report = single
+                                     ? point.replications.front().report
+                                     : point.mergedReport();
         if (json_out) {
-            std::cout << merged.toJsonString() << '\n';
+            std::cout << report.toJsonString() << '\n';
         } else if (csv) {
             std::cout << RunReport::csvHeader() << '\n'
-                      << merged.toCsvRow() << '\n';
+                      << report.toCsvRow() << '\n';
+        } else if (single) {
+            std::cout << report.toString();
+            std::cout << "events: " << report.events << " ("
+                      << static_cast<long>(
+                             report.events /
+                             std::max(report.wallSeconds, 1e-9))
+                      << " events/s wall)\n";
+            if (report.timeouts > 0)
+                std::cout << "client timeouts: " << report.timeouts << '\n';
         } else {
-            std::cout << merged.toString();
+            std::cout << report.toString();
             std::cout << "replications: " << reps << " (base seed "
                       << bundle.options.seed << ", "
                       << (jobs > 0 ? jobs : 0) << " jobs requested)\n"

@@ -1,7 +1,6 @@
 #include "uqsim/core/app/dispatcher.h"
 
 #include <algorithm>
-#include <cmath>
 #include <stdexcept>
 
 #include "uqsim/snapshot/state_io.h"
@@ -136,16 +135,12 @@ Dispatcher::openBreakers() const
 SimTime
 Dispatcher::timerNudge(const char* label)
 {
-    Chooser* chooser = sim_.chooser();
-    if (chooser == nullptr)
-        return 0;
-    const int cap = chooser->maxChoices(ChoiceKind::TimerNudge);
-    if (cap <= 1)
-        return 0;
     const int pick =
-        chooser->choose(ChoiceKind::TimerNudge, cap, label);
+        sim_.choose(ChoiceKind::TimerNudge, Chooser::kUncapped, label);
+    if (pick == 0)
+        return 0;
     return static_cast<SimTime>(pick) *
-           chooser->jitterStep(ChoiceKind::TimerNudge);
+           sim_.chooser()->jitterStep(ChoiceKind::TimerNudge);
 }
 
 TierFaultStats&
@@ -730,14 +725,10 @@ Dispatcher::scheduleResend(JobId root, int node_id)
         return;
     hs.timeoutEvent.cancel();
     const fault::EdgePolicy& policy = *hs.policy;
-    double backoff = 0.0;
-    if (policy.backoffBaseSeconds > 0.0) {
-        backoff = policy.backoffBaseSeconds *
-                  std::pow(policy.backoffMultiplier,
-                           static_cast<double>(hs.attempts.size() - 1));
-        if (policy.jitter > 0.0)
-            backoff *= 1.0 + policy.jitter * retryRng_.nextDouble();
-    }
+    const double backoff = fault::backoffSeconds(
+        policy.backoffBaseSeconds, policy.backoffMultiplier,
+        static_cast<int>(hs.attempts.size()) - 1, policy.jitter,
+        retryRng_);
     ++retriesSent_;
     ++tierFault(hs.from->model().nameId()).retries;
     auto fire = [this, root, node_id]() {

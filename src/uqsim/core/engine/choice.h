@@ -29,6 +29,7 @@
  * have done anyway".
  */
 
+#include <limits>
 #include <string>
 
 #include "uqsim/core/engine/sim_time.h"
@@ -74,6 +75,10 @@ ChoiceKind choiceKindFromName(const std::string& name);
  */
 class Chooser {
   public:
+    /** Option count of a site with no count of its own (the jitter
+     *  kinds): Simulator::choose() then offers maxChoices() options. */
+    static constexpr int kUncapped = std::numeric_limits<int>::max();
+
     virtual ~Chooser() = default;
 
     /** Called by Simulator::setChooser so state fingerprints can be

@@ -13,7 +13,6 @@ stopReasonName(StopReason reason)
       case StopReason::Drained: return "drained";
       case StopReason::TimeLimit: return "time-limit";
       case StopReason::EventLimit: return "event-limit";
-      case StopReason::Stopped: return "stopped";
     }
     return "?";
 }
@@ -75,19 +74,12 @@ Simulator::stateFingerprint() const
 EventQueue::FiredEvent
 Simulator::popChosen()
 {
+    // The cap bounds the tie scan; choose() applies it again.
     const int cap = chooser_->maxChoices(ChoiceKind::EventTie);
-    if (cap > 1) {
-        const std::size_t group =
-            queue_.tieGroupSize(static_cast<std::size_t>(cap));
-        if (group > 1) {
-            const int pick =
-                chooser_->choose(ChoiceKind::EventTie,
-                                 static_cast<int>(group),
-                                 "event-tie");
-            return queue_.popTie(static_cast<std::size_t>(pick));
-        }
-    }
-    return queue_.pop();
+    const std::size_t group =
+        cap > 1 ? queue_.tieGroupSize(static_cast<std::size_t>(cap)) : 1;
+    return queue_.popTie(static_cast<std::size_t>(choose(
+        ChoiceKind::EventTie, static_cast<int>(group), "event-tie")));
 }
 
 void
@@ -124,11 +116,8 @@ StopReason
 Simulator::runLoop(SimTime until, std::uint64_t max_events,
                    bool clamp_clock)
 {
-    stopRequested_ = false;
     const bool auditing = audit::auditModeEnabled();
     while (true) {
-        if (stopRequested_)
-            return StopReason::Stopped;
         if (max_events != 0 && executedEvents_ >= max_events)
             return StopReason::EventLimit;
         if (control_ != nullptr &&

@@ -13,6 +13,7 @@
  * events remain or a stop condition triggers.
  */
 
+#include <algorithm>
 #include <cstdint>
 #include <string>
 #include <utility>
@@ -37,7 +38,6 @@ enum class StopReason {
     Drained,       ///< no outstanding events remained
     TimeLimit,     ///< the until-time was reached
     EventLimit,    ///< the event-count limit was reached
-    Stopped,       ///< Simulator::stop() was called from an event
 };
 
 const char* stopReasonName(StopReason reason);
@@ -122,8 +122,8 @@ class Simulator {
     }
 
     /**
-     * Runs until the queue drains, time exceeds @p until, more than
-     * @p max_events fire, or stop() is called.
+     * Runs until the queue drains, time exceeds @p until, or
+     * @p max_events have fired.
      *
      * Events scheduled exactly at @p until still fire; the first
      * event strictly after @p until ends the run with the clock left
@@ -143,9 +143,6 @@ class Simulator {
      */
     StopReason runSegment(SimTime until = kSimTimeMax,
                           std::uint64_t max_events = 0);
-
-    /** Requests the active run() to return after the current event. */
-    void stop() { stopRequested_ = true; }
 
     /** Number of events executed so far. */
     std::uint64_t executedEvents() const { return executedEvents_; }
@@ -199,6 +196,21 @@ class Simulator {
     Chooser* chooser() const { return chooser_; }
 
     /**
+     * The one call of every choice point: asks the attached chooser
+     * for one of min(@p options, maxChoices(@p kind)) options.
+     * Returns 0, the default, without a chooser or with fewer than
+     * two options, and then asks nothing.
+     */
+    int
+    choose(ChoiceKind kind, int options, const char* label)
+    {
+        if (chooser_ == nullptr)
+            return 0;
+        const int n = std::min(options, chooser_->maxChoices(kind));
+        return n > 1 ? chooser_->choose(kind, n, label) : 0;
+    }
+
+    /**
      * Approximate state fingerprint for the explorer's revisit
      * pruning: the clock combined with the order-insensitive hash of
      * the pending-event multiset.  Two equal fingerprints *probably*
@@ -236,7 +248,6 @@ class Simulator {
     Logger logger_;
     RunControl* control_ = nullptr;
     Chooser* chooser_ = nullptr;
-    bool stopRequested_ = false;
     std::uint64_t executedEvents_ = 0;
     std::uint64_t traceDigest_ = 0xCBF29CE484222325ULL;  // FNV offset
 };

@@ -11,17 +11,14 @@ namespace uqsim {
 SimulationOptions
 SimulationOptions::fromJson(const json::JsonValue& doc)
 {
-    json::requireKnownKeys(
-        doc, {"seed", "warmup_s", "duration_s", "max_events"},
-        "options.json");
+    json::requireKnownKeys(doc, {"seed", "warmup_s", "duration_s"},
+                           "options.json");
     SimulationOptions options;
     options.seed = static_cast<std::uint64_t>(
         doc.getOr("seed", std::int64_t{1}));
     options.warmupSeconds = doc.getOr("warmup_s", options.warmupSeconds);
     options.durationSeconds =
         doc.getOr("duration_s", options.durationSeconds);
-    options.maxEvents = static_cast<std::uint64_t>(
-        doc.getOr("max_events", std::int64_t{0}));
     return options;
 }
 

@@ -23,8 +23,6 @@ struct SimulationOptions {
     double warmupSeconds = 1.0;
     /** Total simulated time (seconds), including warm-up. */
     double durationSeconds = 11.0;
-    /** Safety limit on executed events; 0 = unlimited. */
-    std::uint64_t maxEvents = 0;
 
     /** Parses {"seed": 1, "warmup_s": 1, "duration_s": 11}. */
     static SimulationOptions fromJson(const json::JsonValue& doc);

@@ -122,7 +122,6 @@ Simulation::computeConfigDigest() const
     digest.u64(options_.seed);
     digest.f64(options_.warmupSeconds);
     digest.f64(options_.durationSeconds);
-    digest.u64(options_.maxEvents);
 
     const auto& machines = cluster_->machines();
     digest.u64(machines.size());
@@ -179,8 +178,6 @@ Simulation::computeConfigDigest() const
         digest.u32(static_cast<std::uint32_t>(spec.kind));
         digest.str(spec.instance);
         digest.str(spec.service);
-        digest.f64(spec.atSeconds);
-        digest.f64(spec.recoverSeconds);
         digest.f64(spec.mtbfSeconds);
         digest.f64(spec.mttrSeconds);
         digest.f64(spec.startSeconds);
@@ -310,14 +307,8 @@ Simulation::advanceToEvents(std::uint64_t target_events)
     checkAdvance();
     if (target_events <= sim_.executedEvents())
         return StopReason::EventLimit;
-    // runLoop treats max_events as an absolute executed-event total,
-    // so the segment target composes with the configured budget by
-    // simply taking the smaller absolute bound.
-    std::uint64_t budget = target_events;
-    if (options_.maxEvents > 0 && options_.maxEvents < budget)
-        budget = options_.maxEvents;
-    return sim_.runSegment(
-        secondsToSimTime(options_.durationSeconds), budget);
+    return sim_.runSegment(secondsToSimTime(options_.durationSeconds),
+                           target_events);
 }
 
 StopReason
@@ -326,8 +317,7 @@ Simulation::advanceToTime(SimTime until)
     checkAdvance();
     const SimTime horizon =
         secondsToSimTime(options_.durationSeconds);
-    return sim_.runSegment(until < horizon ? until : horizon,
-                           options_.maxEvents);
+    return sim_.runSegment(until < horizon ? until : horizon);
 }
 
 RunReport
@@ -340,8 +330,7 @@ Simulation::finishRun()
     ran_ = true;
     const auto wall_start = std::chrono::steady_clock::now();
     const StopReason reason =
-        sim_.run(secondsToSimTime(options_.durationSeconds),
-                 options_.maxEvents);
+        sim_.run(secondsToSimTime(options_.durationSeconds));
     const auto wall_end = std::chrono::steady_clock::now();
     const double wall =
         std::chrono::duration<double>(wall_end - wall_start).count();

@@ -106,8 +106,8 @@ class Simulation {
 
     /**
      * Runs until @p target_events total events have executed (an
-     * absolute count, not a delta), the duration horizon or event
-     * budget is hit, or the queue drains.
+     * absolute count, not a delta), the duration horizon is hit, or
+     * the queue drains.
      */
     StopReason advanceToEvents(std::uint64_t target_events);
 
@@ -128,7 +128,7 @@ class Simulation {
 
     /**
      * Composition fingerprint pinned into every snapshot: seed, time
-     * horizon and budgets, machine/service/client composition,
+     * horizon, machine/service/client composition,
      * network model, and fault plan.  Restoring a snapshot into a
      * simulation with a different digest is a hard error.  Computed
      * at finalize().

@@ -1,5 +1,7 @@
 #include "uqsim/fault/fault_plan.h"
 
+#include <iterator>
+
 #include "uqsim/json/validation.h"
 
 namespace uqsim {
@@ -7,40 +9,99 @@ namespace fault {
 
 namespace {
 
+/** Each kind's faults.json type name and keys, in Kind order. */
+const struct {
+    const char* name;
+    std::vector<std::string> keys;
+} kKinds[] = {
+    {"crash",
+     {"type", "instance", "service", "at_s", "recover_s", "mtbf_s",
+      "mttr_s"}},
+    {"slow", {"type", "instance", "service", "start_s", "end_s", "factor"}},
+    {"network",
+     {"type", "start_s", "end_s", "extra_latency_us", "loss_prob"}},
+    {"link_down",
+     {"type", "link", "start_s", "end_s", "mtbf_s", "mttr_s"}},
+    {"link_degraded",
+     {"type", "link", "start_s", "end_s", "capacity_factor",
+      "latency_factor"}},
+    {"switch_down", {"type", "switch", "start_s", "end_s"}},
+    {"partition", {"type", "groups", "start_s", "end_s"}},
+};
+static_assert(std::size(kKinds) ==
+              static_cast<std::size_t>(FaultSpec::Kind::Partition) + 1);
+
 FaultSpec::Kind
 kindFromString(const std::string& name)
 {
-    if (name == "crash")
-        return FaultSpec::Kind::Crash;
-    if (name == "slow")
-        return FaultSpec::Kind::Slow;
-    if (name == "network")
-        return FaultSpec::Kind::Network;
-    if (name == "link_down")
-        return FaultSpec::Kind::LinkDown;
-    if (name == "link_degraded")
-        return FaultSpec::Kind::LinkDegraded;
-    if (name == "switch_down")
-        return FaultSpec::Kind::SwitchDown;
-    if (name == "partition")
-        return FaultSpec::Kind::Partition;
+    std::vector<std::string> names;
+    for (std::size_t k = 0; k < std::size(kKinds); ++k) {
+        if (name == kKinds[k].name)
+            return static_cast<FaultSpec::Kind>(k);
+        names.push_back(kKinds[k].name);
+    }
     std::string message = "unknown fault type \"" + name + "\"";
-    const std::string suggestion = json::suggestClosest(
-        name, {"crash", "slow", "network", "link_down",
-               "link_degraded", "switch_down", "partition"});
+    const std::string suggestion = json::suggestClosest(name, names);
     if (!suggestion.empty())
         message += "; did you mean \"" + suggestion + "\"?";
     throw json::JsonError(message);
 }
 
-/** Shared window validation for the scripted topology kinds. */
+/** Reads "instance"/"service"; exactly one of them names the target. */
 void
-requireWindow(const FaultSpec& spec, const char* kind)
+readTarget(const json::JsonValue& doc, const std::string& kind,
+           FaultSpec& spec)
 {
-    if (spec.endSeconds <= spec.startSeconds) {
-        throw json::JsonError(std::string(kind) +
-                              " fault end_s must exceed start_s");
-    }
+    spec.instance = doc.getOr("instance", std::string());
+    spec.service = doc.getOr("service", std::string());
+    if (spec.instance.empty() == spec.service.empty())
+        throw json::JsonError(kind +
+                              " fault needs exactly one of \"instance\" "
+                              "or \"service\"");
+}
+
+/** Reads the required fabric name under @p key. */
+std::string
+readName(const json::JsonValue& doc, const std::string& kind,
+         const char* key)
+{
+    std::string name = doc.getOr(key, std::string());
+    if (name.empty())
+        throw json::JsonError(kind + " fault needs \"" + key + "\"");
+    return name;
+}
+
+/** Reads mtbf_s/mttr_s: a positive MTBF makes the spec stochastic,
+ *  and a stochastic spec needs a positive MTTR. */
+void
+readOutages(const json::JsonValue& doc, const std::string& kind,
+            FaultSpec& spec)
+{
+    spec.mtbfSeconds = doc.getOr("mtbf_s", 0.0);
+    spec.mttrSeconds = doc.getOr("mttr_s", 0.0);
+    if (spec.stochastic() && spec.mttrSeconds <= 0.0)
+        throw json::JsonError("stochastic " + kind +
+                              " fault needs mttr_s > 0");
+}
+
+/**
+ * Reads the window from @p startKey/@p endKey.  A scripted window
+ * must end after it starts; with @p openEnded an end of 0 leaves it
+ * open instead.  A stochastic spec ignores its window.
+ */
+void
+readWindow(const json::JsonValue& doc, const std::string& kind,
+           FaultSpec& spec, bool openEnded,
+           const std::string& startKey = "start_s",
+           const std::string& endKey = "end_s")
+{
+    spec.startSeconds = doc.getOr(startKey, 0.0);
+    spec.endSeconds = doc.getOr(endKey, 0.0);
+    if (spec.stochastic() || (openEnded && spec.endSeconds <= 0.0))
+        return;
+    if (spec.endSeconds <= spec.startSeconds)
+        throw json::JsonError(kind + " fault " + endKey +
+                              " must exceed " + startKey);
 }
 
 }  // namespace
@@ -49,133 +110,56 @@ FaultSpec
 FaultSpec::fromJson(const json::JsonValue& doc)
 {
     FaultSpec spec;
-    spec.kind = kindFromString(doc.at("type").asString());
+    const std::string kind = doc.at("type").asString();
+    spec.kind = kindFromString(kind);
+    json::requireKnownKeys(
+        doc, kKinds[static_cast<std::size_t>(spec.kind)].keys,
+        kind + " fault");
     switch (spec.kind) {
       case Kind::Crash:
-        json::requireKnownKeys(doc,
-                               {"type", "instance", "service", "at_s",
-                                "recover_s", "mtbf_s", "mttr_s"},
-                               "crash fault");
-        spec.instance = doc.getOr("instance", std::string());
-        spec.service = doc.getOr("service", std::string());
-        spec.atSeconds = doc.getOr("at_s", 0.0);
-        spec.recoverSeconds = doc.getOr("recover_s", 0.0);
-        spec.mtbfSeconds = doc.getOr("mtbf_s", 0.0);
-        spec.mttrSeconds = doc.getOr("mttr_s", 0.0);
-        if (spec.instance.empty() == spec.service.empty())
-            throw json::JsonError(
-                "crash fault needs exactly one of \"instance\" or "
-                "\"service\"");
-        if (spec.stochastic()) {
-            if (spec.mttrSeconds <= 0.0)
-                throw json::JsonError(
-                    "stochastic crash fault needs mttr_s > 0");
-        } else if (spec.recoverSeconds > 0.0 &&
-                   spec.recoverSeconds <= spec.atSeconds) {
-            throw json::JsonError(
-                "crash fault recover_s must exceed at_s");
-        }
+        readTarget(doc, kind, spec);
+        readOutages(doc, kind, spec);
+        readWindow(doc, kind, spec, true, "at_s", "recover_s");
         break;
       case Kind::Slow:
-        json::requireKnownKeys(doc,
-                               {"type", "instance", "service",
-                                "start_s", "end_s", "factor"},
-                               "slow fault");
-        spec.instance = doc.getOr("instance", std::string());
-        spec.service = doc.getOr("service", std::string());
-        spec.startSeconds = doc.getOr("start_s", 0.0);
-        spec.endSeconds = doc.getOr("end_s", 0.0);
+        readTarget(doc, kind, spec);
         spec.factor = doc.getOr("factor", 1.0);
-        if (spec.instance.empty() == spec.service.empty())
-            throw json::JsonError(
-                "slow fault needs exactly one of \"instance\" or "
-                "\"service\"");
         if (spec.factor <= 0.0)
             throw json::JsonError("slow fault factor must be > 0");
-        if (spec.endSeconds > 0.0 &&
-            spec.endSeconds <= spec.startSeconds)
-            throw json::JsonError(
-                "slow fault end_s must exceed start_s");
+        readWindow(doc, kind, spec, true);
         break;
       case Kind::Network:
-        json::requireKnownKeys(doc,
-                               {"type", "start_s", "end_s",
-                                "extra_latency_us", "loss_prob"},
-                               "network fault");
-        spec.startSeconds = doc.getOr("start_s", 0.0);
-        spec.endSeconds = doc.getOr("end_s", 0.0);
         spec.extraLatencySeconds =
             doc.getOr("extra_latency_us", 0.0) * 1e-6;
         spec.lossProbability = doc.getOr("loss_prob", 0.0);
         if (spec.lossProbability < 0.0 || spec.lossProbability > 1.0)
             throw json::JsonError(
                 "network fault loss_prob must be in [0, 1]");
-        if (spec.endSeconds > 0.0 &&
-            spec.endSeconds <= spec.startSeconds)
-            throw json::JsonError(
-                "network fault end_s must exceed start_s");
+        readWindow(doc, kind, spec, true);
         break;
       case Kind::LinkDown:
-        json::requireKnownKeys(doc,
-                               {"type", "link", "start_s", "end_s",
-                                "mtbf_s", "mttr_s"},
-                               "link_down fault");
-        spec.link = doc.getOr("link", std::string());
-        spec.startSeconds = doc.getOr("start_s", 0.0);
-        spec.endSeconds = doc.getOr("end_s", 0.0);
-        spec.mtbfSeconds = doc.getOr("mtbf_s", 0.0);
-        spec.mttrSeconds = doc.getOr("mttr_s", 0.0);
-        if (spec.link.empty())
-            throw json::JsonError("link_down fault needs \"link\"");
-        if (spec.stochastic()) {
-            if (spec.mttrSeconds <= 0.0)
-                throw json::JsonError(
-                    "stochastic link_down fault needs mttr_s > 0");
-        } else {
-            requireWindow(spec, "link_down");
-        }
+        spec.link = readName(doc, kind, "link");
+        readOutages(doc, kind, spec);
+        readWindow(doc, kind, spec, false);
         break;
       case Kind::LinkDegraded:
-        json::requireKnownKeys(doc,
-                               {"type", "link", "start_s", "end_s",
-                                "capacity_factor", "latency_factor"},
-                               "link_degraded fault");
-        spec.link = doc.getOr("link", std::string());
-        spec.startSeconds = doc.getOr("start_s", 0.0);
-        spec.endSeconds = doc.getOr("end_s", 0.0);
+        spec.link = readName(doc, kind, "link");
         spec.capacityFactor = doc.getOr("capacity_factor", 1.0);
         spec.latencyFactor = doc.getOr("latency_factor", 1.0);
-        if (spec.link.empty())
-            throw json::JsonError(
-                "link_degraded fault needs \"link\"");
         if (!(spec.capacityFactor > 0.0) || spec.capacityFactor > 1.0)
             throw json::JsonError(
                 "link_degraded capacity_factor must be in (0, 1]");
         if (spec.latencyFactor < 1.0)
             throw json::JsonError(
                 "link_degraded latency_factor must be >= 1");
-        requireWindow(spec, "link_degraded");
+        readWindow(doc, kind, spec, false);
         break;
       case Kind::SwitchDown:
-        json::requireKnownKeys(doc,
-                               {"type", "switch", "start_s", "end_s"},
-                               "switch_down fault");
-        spec.switchName = doc.getOr("switch", std::string());
-        spec.startSeconds = doc.getOr("start_s", 0.0);
-        spec.endSeconds = doc.getOr("end_s", 0.0);
-        if (spec.switchName.empty())
-            throw json::JsonError(
-                "switch_down fault needs \"switch\"");
-        requireWindow(spec, "switch_down");
+        spec.switchName = readName(doc, kind, "switch");
+        readWindow(doc, kind, spec, false);
         break;
-      case Kind::Partition: {
-        json::requireKnownKeys(doc,
-                               {"type", "groups", "start_s", "end_s"},
-                               "partition fault");
-        spec.startSeconds = doc.getOr("start_s", 0.0);
-        spec.endSeconds = doc.getOr("end_s", 0.0);
-        const json::JsonValue* groups = doc.find("groups");
-        if (groups != nullptr) {
+      case Kind::Partition:
+        if (const json::JsonValue* groups = doc.find("groups")) {
             for (const json::JsonValue& group : groups->asArray()) {
                 std::vector<std::string> hosts;
                 for (const json::JsonValue& host : group.asArray())
@@ -189,9 +173,8 @@ FaultSpec::fromJson(const json::JsonValue& doc)
         if (spec.groups.size() < 2)
             throw json::JsonError(
                 "partition fault needs at least two groups");
-        requireWindow(spec, "partition");
+        readWindow(doc, kind, spec, false);
         break;
-      }
     }
     return spec;
 }

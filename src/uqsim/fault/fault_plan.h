@@ -50,17 +50,14 @@ struct FaultSpec {
      *  instance is named. */
     std::string service;
 
-    // Scripted crash.
-    double atSeconds = 0.0;
-    double recoverSeconds = 0.0;
-
-    // Stochastic crash (exponential up/down times).
-    double mtbfSeconds = 0.0;
-    double mttrSeconds = 0.0;
-
-    // Slow-node and network windows.
+    /** Scripted window: start_s/end_s, or a crash's at_s/recover_s.
+     *  An end of 0 leaves a crash, slow or network window open. */
     double startSeconds = 0.0;
     double endSeconds = 0.0;
+
+    // Stochastic crash or link_down (exponential up/down times).
+    double mtbfSeconds = 0.0;
+    double mttrSeconds = 0.0;
 
     /** Slow-node processing-time multiplier. */
     double factor = 1.0;

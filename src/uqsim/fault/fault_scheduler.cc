@@ -21,6 +21,49 @@ sampleExponential(random::Rng& rng, double meanSeconds)
     return secondsToSimTime(-meanSeconds * std::log(u));
 }
 
+/** Throws for a plan naming an unknown @p what, with a did-you-mean
+ *  suggestion over @p known. */
+[[noreturn]] void
+throwUnknown(const char* what, const std::string& name,
+             const std::vector<std::string>& known)
+{
+    std::string message = std::string("fault plan names unknown ") +
+                          what + " \"" + name + "\"";
+    const std::string suggestion = json::suggestClosest(name, known);
+    if (!suggestion.empty())
+        message += "; did you mean \"" + suggestion + "\"?";
+    throw std::runtime_error(message);
+}
+
+/** The network's FlowModel; throws naming @p kind when the run uses
+ *  a model without link state. */
+hw::FlowModel&
+requireFlowModel(hw::Network& network, const char* kind)
+{
+    auto* flow = dynamic_cast<hw::FlowModel*>(&network.model());
+    if (flow == nullptr) {
+        throw std::runtime_error(
+            std::string(kind) +
+            " faults need the flow network model (this run uses \"" +
+            network.model().modelName() + "\"); see docs/FORMATS.md");
+    }
+    return *flow;
+}
+
+/** Link id for @p name; an unknown name throws. */
+int
+resolveLinkId(hw::FlowModel& flow, const std::string& name)
+{
+    const int id = flow.linkId(name);
+    if (id < 0) {
+        std::vector<std::string> names;
+        for (std::size_t l = 0; l < flow.linkCount(); ++l)
+            names.push_back(flow.link(static_cast<int>(l)).name);
+        throwUnknown("link", name, names);
+    }
+    return id;
+}
+
 }  // namespace
 
 FaultScheduler::FaultScheduler(Simulator& sim, Deployment& deployment,
@@ -28,6 +71,144 @@ FaultScheduler::FaultScheduler(Simulator& sim, Deployment& deployment,
                                const FaultPlan& plan)
     : sim_(sim), deployment_(deployment), network_(network), plan_(plan)
 {
+}
+
+SimTime
+FaultScheduler::windowShift(const char* label,
+                            double windowEndSeconds)
+{
+    const int pick = sim_.choose(ChoiceKind::FaultJitter,
+                                 Chooser::kUncapped, label);
+    if (pick == 0)
+        return 0;
+    SimTime shift = static_cast<SimTime>(pick) *
+                    sim_.chooser()->jitterStep(ChoiceKind::FaultJitter);
+    // Clamp so the window's last scripted event never slides past
+    // the horizon: a jittered window must stay observable inside the
+    // run it perturbs.  Windows already at/past the horizon keep
+    // their (unreachable) nominal position.
+    const SimTime lastEvent = secondsToSimTime(windowEndSeconds);
+    if (shift > 0 && lastEvent + shift > horizon_)
+        shift = lastEvent >= horizon_ ? 0 : horizon_ - lastEvent;
+    return shift;
+}
+
+void
+FaultScheduler::start(double horizonSeconds)
+{
+    horizon_ = secondsToSimTime(horizonSeconds);
+    for (const FaultSpec& spec : plan_.faults) {
+        SimTime shift = 0;
+        for (Toggle& toggle : toggles(spec, shift)) {
+            if (!spec.stochastic()) {
+                scheduleWindow(toggle, spec, shift);
+                continue;
+            }
+            random::RngStream rng(sim_.masterSeed(), toggle.stream);
+            outages_.push_back(std::make_unique<Outage>(
+                Outage{std::move(toggle), std::move(rng), spec}));
+            scheduleOutage(*outages_.back(), shift);
+        }
+    }
+}
+
+std::vector<FaultScheduler::Toggle>
+FaultScheduler::toggles(const FaultSpec& spec, SimTime& shift)
+{
+    // One onset-jitter choice per spec, made before its targets
+    // resolve: every target shifts together, keeping the branching
+    // factor tied to the plan size rather than the deployment size.
+    const double lastEvent =
+        spec.stochastic() ? 0.0
+                          : std::max(spec.startSeconds, spec.endSeconds);
+    std::vector<Toggle> out;
+    switch (spec.kind) {
+      case FaultSpec::Kind::Crash:
+        shift = windowShift("fault-window/crash", lastEvent);
+        for (MicroserviceInstance* target : resolveTargets(spec)) {
+            out.push_back({[this, target] { crash(*target); },
+                           [target] { target->recover(); },
+                           "fault/crash", "fault/recover",
+                           "fault/" + target->name()});
+        }
+        break;
+      case FaultSpec::Kind::Slow:
+        shift = windowShift("fault-window/slow", lastEvent);
+        for (MicroserviceInstance* target : resolveTargets(spec)) {
+            out.push_back({[target, factor = spec.factor] {
+                               target->setSlowFactor(factor);
+                           },
+                           [target] { target->setSlowFactor(1.0); },
+                           "fault/slow", "fault/slow-end"});
+        }
+        break;
+      case FaultSpec::Kind::Network:
+        shift = windowShift("fault-window/net", lastEvent);
+        out.push_back({[this, extra = spec.extraLatencySeconds,
+                        loss = spec.lossProbability] {
+                           network_.setDegradation(extra, loss);
+                       },
+                       [this] { network_.clearDegradation(); },
+                       "fault/net", "fault/net-end"});
+        break;
+      case FaultSpec::Kind::LinkDown: {
+        shift = windowShift("fault-window/link", lastEvent);
+        hw::FlowModel& flow = requireFlowModel(network_, "link_down");
+        const int id = resolveLinkId(flow, spec.link);
+        out.push_back({[&flow, id] { flow.setLinkDown(id); },
+                       [&flow, id] { flow.setLinkUp(id); },
+                       "fault/link-down", "fault/link-up",
+                       "fault/link/" + spec.link});
+        break;
+      }
+      case FaultSpec::Kind::LinkDegraded: {
+        shift = windowShift("fault-window/link-degraded", lastEvent);
+        hw::FlowModel& flow = requireFlowModel(network_, "link_degraded");
+        const int id = resolveLinkId(flow, spec.link);
+        out.push_back({[&flow, id, cap = spec.capacityFactor,
+                        lat = spec.latencyFactor] {
+                           flow.setLinkDegradation(id, cap, lat);
+                       },
+                       [&flow, id] { flow.clearLinkDegradation(id); },
+                       "fault/link-degrade", "fault/link-degrade-end"});
+        break;
+      }
+      case FaultSpec::Kind::SwitchDown: {
+        shift = windowShift("fault-window/switch", lastEvent);
+        hw::FlowModel& flow = requireFlowModel(network_, "switch_down");
+        if (!flow.hasSwitch(spec.switchName))
+            throwUnknown("switch", spec.switchName, flow.switchNames());
+        const std::vector<int> links = flow.switchLinks(spec.switchName);
+        out.push_back({[&flow, links] {
+                           for (int link : links)
+                               flow.setLinkDown(link);
+                       },
+                       [&flow, links] {
+                           for (int link : links)
+                               flow.setLinkUp(link);
+                       },
+                       "fault/switch-down", "fault/switch-up"});
+        break;
+      }
+      case FaultSpec::Kind::Partition: {
+        shift = windowShift("fault-window/partition", lastEvent);
+        hw::FlowModel& flow = requireFlowModel(network_, "partition");
+        // Resolve machine names now so a typo fails at start(), not
+        // at the window onset deep into the run.
+        hw::Cluster& cluster = deployment_.cluster();
+        std::vector<std::vector<int>> groups;
+        for (const std::vector<std::string>& names : spec.groups) {
+            std::vector<int>& ids = groups.emplace_back();
+            for (const std::string& name : names)
+                ids.push_back(cluster.machine(name).netId());
+        }
+        out.push_back({[&flow, groups] { flow.setPartition(groups); },
+                       [&flow] { flow.clearPartition(); },
+                       "fault/partition", "fault/partition-end"});
+        break;
+      }
+    }
+    return out;
 }
 
 std::vector<MicroserviceInstance*>
@@ -45,363 +226,38 @@ FaultScheduler::resolveTargets(const FaultSpec& spec) const
     return {&deployment_.instance(service, index)};
 }
 
-SimTime
-FaultScheduler::windowShift(const char* label,
-                            double windowEndSeconds)
-{
-    Chooser* chooser = sim_.chooser();
-    if (chooser == nullptr)
-        return 0;
-    const int cap = chooser->maxChoices(ChoiceKind::FaultJitter);
-    if (cap <= 1)
-        return 0;
-    const int pick =
-        chooser->choose(ChoiceKind::FaultJitter, cap, label);
-    SimTime shift = static_cast<SimTime>(pick) *
-                    chooser->jitterStep(ChoiceKind::FaultJitter);
-    // Clamp so the window's last scripted event never slides past
-    // the horizon: a jittered window must stay observable inside the
-    // run it perturbs.  Windows already at/past the horizon keep
-    // their (unreachable) nominal position.
-    const SimTime lastEvent = secondsToSimTime(windowEndSeconds);
-    if (shift > 0 && lastEvent + shift > horizon_)
-        shift = lastEvent >= horizon_ ? 0 : horizon_ - lastEvent;
-    return shift;
-}
-
 void
-FaultScheduler::start(double horizonSeconds)
+FaultScheduler::scheduleWindow(const Toggle& toggle,
+                               const FaultSpec& spec, SimTime shift)
 {
-    horizon_ = secondsToSimTime(horizonSeconds);
-    for (const FaultSpec& spec : plan_.faults) {
-        // One onset-jitter choice per fault spec: every target of the
-        // spec shifts together, keeping the branching factor tied to
-        // the plan size rather than the deployment size.
-        switch (spec.kind) {
-          case FaultSpec::Kind::Crash: {
-            const SimTime shift = windowShift(
-                "fault-window/crash",
-                spec.stochastic()
-                    ? 0.0
-                    : std::max(spec.atSeconds, spec.recoverSeconds));
-            for (MicroserviceInstance* target : resolveTargets(spec)) {
-                if (spec.stochastic())
-                    scheduleStochasticCrash(*target, spec, shift);
-                else
-                    scheduleScriptedCrash(*target, spec, shift);
-            }
-            break;
-          }
-          case FaultSpec::Kind::Slow: {
-            const SimTime shift = windowShift(
-                "fault-window/slow",
-                std::max(spec.startSeconds, spec.endSeconds));
-            for (MicroserviceInstance* target : resolveTargets(spec))
-                scheduleSlowWindow(*target, spec, shift);
-            break;
-          }
-          case FaultSpec::Kind::Network:
-            scheduleNetworkWindow(
-                spec,
-                windowShift("fault-window/net",
-                            std::max(spec.startSeconds,
-                                     spec.endSeconds)));
-            break;
-          case FaultSpec::Kind::LinkDown:
-            scheduleLinkWindow(
-                spec,
-                windowShift("fault-window/link",
-                            spec.stochastic()
-                                ? 0.0
-                                : std::max(spec.startSeconds,
-                                           spec.endSeconds)));
-            break;
-          case FaultSpec::Kind::LinkDegraded:
-            scheduleLinkDegradedWindow(
-                spec,
-                windowShift("fault-window/link-degraded",
-                            std::max(spec.startSeconds,
-                                     spec.endSeconds)));
-            break;
-          case FaultSpec::Kind::SwitchDown:
-            scheduleSwitchWindow(
-                spec,
-                windowShift("fault-window/switch",
-                            std::max(spec.startSeconds,
-                                     spec.endSeconds)));
-            break;
-          case FaultSpec::Kind::Partition:
-            schedulePartitionWindow(
-                spec,
-                windowShift("fault-window/partition",
-                            std::max(spec.startSeconds,
-                                     spec.endSeconds)));
-            break;
-        }
-    }
-}
-
-hw::FlowModel&
-FaultScheduler::requireFlowModel(const char* kind) const
-{
-    auto* flow = dynamic_cast<hw::FlowModel*>(&network_.model());
-    if (flow == nullptr) {
-        throw std::runtime_error(
-            std::string(kind) +
-            " faults need the flow network model (this run uses \"" +
-            network_.model().modelName() + "\"); see docs/FORMATS.md");
-    }
-    return *flow;
-}
-
-int
-FaultScheduler::resolveLinkId(hw::FlowModel& flow,
-                              const std::string& name) const
-{
-    const int id = flow.linkId(name);
-    if (id >= 0)
-        return id;
-    std::string message = "fault plan names unknown link \"" + name +
-                          "\"";
-    std::vector<std::string> candidates;
-    candidates.reserve(flow.linkCount());
-    for (std::size_t l = 0; l < flow.linkCount(); ++l)
-        candidates.push_back(flow.link(static_cast<int>(l)).name);
-    const std::string suggestion =
-        json::suggestClosest(name, candidates);
-    if (!suggestion.empty())
-        message += "; did you mean \"" + suggestion + "\"?";
-    throw std::runtime_error(message);
-}
-
-void
-FaultScheduler::scheduleScriptedCrash(MicroserviceInstance& target,
-                                      const FaultSpec& spec,
-                                      SimTime shift)
-{
-    sim_.scheduleAt(
-        secondsToSimTime(spec.atSeconds) + shift,
-        [this, &target]() { crash(target); }, "fault/crash");
-    if (spec.recoverSeconds > 0.0) {
-        sim_.scheduleAt(
-            secondsToSimTime(spec.recoverSeconds) + shift,
-            [&target]() { target.recover(); }, "fault/recover");
-    }
-}
-
-void
-FaultScheduler::scheduleStochasticCrash(MicroserviceInstance& target,
-                                        const FaultSpec& spec,
-                                        SimTime shift)
-{
-    streams_.push_back(std::make_unique<random::RngStream>(
-        sim_.masterSeed(), "fault/" + target.name()));
-    random::Rng& rng = *streams_.back();
-    scheduleNextStochasticFailure(target, spec, rng, shift);
-}
-
-void
-FaultScheduler::scheduleNextStochasticFailure(
-    MicroserviceInstance& target, const FaultSpec& spec,
-    random::Rng& rng, SimTime shift)
-{
-    // Draw the whole (up, down) pair now so the stream's consumption
-    // is a pure function of the failure count, then chain the next
-    // draw off the recovery event.  The jitter shift delays only the
-    // first failure of the timeline; the chain after it is relative,
-    // so the whole timeline slides together.
-    const SimTime up = sampleExponential(rng, spec.mtbfSeconds);
-    const SimTime down = sampleExponential(rng, spec.mttrSeconds);
-    const SimTime failAt = sim_.now() + up + shift;
-    if (failAt >= horizon_)
-        return;
-    sim_.scheduleAt(
-        failAt, [this, &target]() { crash(target); }, "fault/crash");
-    sim_.scheduleAt(
-        failAt + down,
-        [this, &target, &spec, &rng]() {
-            target.recover();
-            scheduleNextStochasticFailure(target, spec, rng, 0);
-        },
-        "fault/recover");
-}
-
-void
-FaultScheduler::scheduleSlowWindow(MicroserviceInstance& target,
-                                   const FaultSpec& spec,
-                                   SimTime shift)
-{
-    sim_.scheduleAt(
-        secondsToSimTime(spec.startSeconds) + shift,
-        [&target, factor = spec.factor]() {
-            target.setSlowFactor(factor);
-        },
-        "fault/slow");
+    sim_.scheduleAt(secondsToSimTime(spec.startSeconds) + shift,
+                    toggle.start, toggle.startLabel);
     if (spec.endSeconds > 0.0) {
-        sim_.scheduleAt(
-            secondsToSimTime(spec.endSeconds) + shift,
-            [&target]() { target.setSlowFactor(1.0); },
-            "fault/slow-end");
+        sim_.scheduleAt(secondsToSimTime(spec.endSeconds) + shift,
+                        toggle.end, toggle.endLabel);
     }
 }
 
 void
-FaultScheduler::scheduleNetworkWindow(const FaultSpec& spec,
-                                      SimTime shift)
+FaultScheduler::scheduleOutage(Outage& outage, SimTime shift)
 {
-    sim_.scheduleAt(
-        secondsToSimTime(spec.startSeconds) + shift,
-        [this, extra = spec.extraLatencySeconds,
-         loss = spec.lossProbability]() {
-            network_.setDegradation(extra, loss);
-        },
-        "fault/net");
-    if (spec.endSeconds > 0.0) {
-        sim_.scheduleAt(
-            secondsToSimTime(spec.endSeconds) + shift,
-            [this]() { network_.clearDegradation(); },
-            "fault/net-end");
-    }
-}
-
-void
-FaultScheduler::scheduleLinkWindow(const FaultSpec& spec,
-                                   SimTime shift)
-{
-    hw::FlowModel& flow = requireFlowModel("link_down");
-    const int linkId = resolveLinkId(flow, spec.link);
-    if (spec.stochastic()) {
-        scheduleStochasticLink(flow, linkId, spec, shift);
-        return;
-    }
-    sim_.scheduleAt(
-        secondsToSimTime(spec.startSeconds) + shift,
-        [&flow, linkId]() { flow.setLinkDown(linkId); },
-        "fault/link-down");
-    sim_.scheduleAt(
-        secondsToSimTime(spec.endSeconds) + shift,
-        [&flow, linkId]() { flow.setLinkUp(linkId); },
-        "fault/link-up");
-}
-
-void
-FaultScheduler::scheduleStochasticLink(hw::FlowModel& flow,
-                                       int linkId,
-                                       const FaultSpec& spec,
-                                       SimTime shift)
-{
-    // Per-link stream: adding (or removing) one link's timeline
-    // never perturbs any other stream's draws.
-    streams_.push_back(std::make_unique<random::RngStream>(
-        sim_.masterSeed(), "fault/link/" + spec.link));
-    random::Rng& rng = *streams_.back();
-    scheduleNextLinkFailure(flow, linkId, spec, rng, shift);
-}
-
-void
-FaultScheduler::scheduleNextLinkFailure(hw::FlowModel& flow,
-                                        int linkId,
-                                        const FaultSpec& spec,
-                                        random::Rng& rng,
-                                        SimTime shift)
-{
-    // Same structure as the stochastic crash chain: draw the whole
-    // (up, down) pair now, chain the next draw off the repair.
-    const SimTime up = sampleExponential(rng, spec.mtbfSeconds);
-    const SimTime down = sampleExponential(rng, spec.mttrSeconds);
-    const SimTime failAt = sim_.now() + up + shift;
-    if (failAt >= horizon_)
+    const SimTime up =
+        sampleExponential(outage.rng, outage.spec.mtbfSeconds);
+    const SimTime down =
+        sampleExponential(outage.rng, outage.spec.mttrSeconds);
+    const SimTime startAt = sim_.now() + up + shift;
+    if (startAt >= horizon_)
         return;
     sim_.scheduleAt(
-        failAt, [&flow, linkId]() { flow.setLinkDown(linkId); },
-        "fault/link-down");
+        startAt, [&outage]() { outage.toggle.start(); },
+        outage.toggle.startLabel);
     sim_.scheduleAt(
-        failAt + down,
-        [this, &flow, linkId, &spec, &rng]() {
-            flow.setLinkUp(linkId);
-            scheduleNextLinkFailure(flow, linkId, spec, rng, 0);
+        startAt + down,
+        [this, &outage]() {
+            outage.toggle.end();
+            scheduleOutage(outage, 0);
         },
-        "fault/link-up");
-}
-
-void
-FaultScheduler::scheduleLinkDegradedWindow(const FaultSpec& spec,
-                                           SimTime shift)
-{
-    hw::FlowModel& flow = requireFlowModel("link_degraded");
-    const int linkId = resolveLinkId(flow, spec.link);
-    sim_.scheduleAt(
-        secondsToSimTime(spec.startSeconds) + shift,
-        [&flow, linkId, cap = spec.capacityFactor,
-         lat = spec.latencyFactor]() {
-            flow.setLinkDegradation(linkId, cap, lat);
-        },
-        "fault/link-degrade");
-    sim_.scheduleAt(
-        secondsToSimTime(spec.endSeconds) + shift,
-        [&flow, linkId]() { flow.clearLinkDegradation(linkId); },
-        "fault/link-degrade-end");
-}
-
-void
-FaultScheduler::scheduleSwitchWindow(const FaultSpec& spec,
-                                     SimTime shift)
-{
-    hw::FlowModel& flow = requireFlowModel("switch_down");
-    if (!flow.hasSwitch(spec.switchName)) {
-        std::string message =
-            "fault plan names unknown switch \"" + spec.switchName +
-            "\"";
-        const std::string suggestion =
-            json::suggestClosest(spec.switchName, flow.switchNames());
-        if (!suggestion.empty())
-            message += "; did you mean \"" + suggestion + "\"?";
-        throw std::runtime_error(message);
-    }
-    // Copy the link set: the switch registry outlives the window,
-    // but a value capture keeps the events self-contained.
-    const std::vector<int> links = flow.switchLinks(spec.switchName);
-    sim_.scheduleAt(
-        secondsToSimTime(spec.startSeconds) + shift,
-        [&flow, links]() {
-            for (int link : links)
-                flow.setLinkDown(link);
-        },
-        "fault/switch-down");
-    sim_.scheduleAt(
-        secondsToSimTime(spec.endSeconds) + shift,
-        [&flow, links]() {
-            for (int link : links)
-                flow.setLinkUp(link);
-        },
-        "fault/switch-up");
-}
-
-void
-FaultScheduler::schedulePartitionWindow(const FaultSpec& spec,
-                                        SimTime shift)
-{
-    hw::FlowModel& flow = requireFlowModel("partition");
-    // Resolve machine names now so a typo fails at start(), not at
-    // the window onset deep into the run.
-    hw::Cluster& cluster = deployment_.cluster();
-    std::vector<std::vector<int>> groups;
-    groups.reserve(spec.groups.size());
-    for (const std::vector<std::string>& names : spec.groups) {
-        std::vector<int> ids;
-        ids.reserve(names.size());
-        for (const std::string& name : names)
-            ids.push_back(cluster.machine(name).netId());
-        groups.push_back(std::move(ids));
-    }
-    sim_.scheduleAt(
-        secondsToSimTime(spec.startSeconds) + shift,
-        [&flow, groups]() { flow.setPartition(groups); },
-        "fault/partition");
-    sim_.scheduleAt(
-        secondsToSimTime(spec.endSeconds) + shift,
-        [&flow]() { flow.clearPartition(); },
-        "fault/partition-end");
+        outage.toggle.endLabel);
 }
 
 void
@@ -419,10 +275,10 @@ FaultScheduler::foldState(snapshot::Digest& digest) const
     digest.u64(crashes_);
     digest.i64(horizon_);
     digest.u64(plan_.faults.size());
-    digest.u64(streams_.size());
-    for (const auto& stream : streams_) {
-        digest.str(stream->label());
-        snapshot::digestRngState(digest, stream->state());
+    digest.u64(outages_.size());
+    for (const auto& outage : outages_) {
+        digest.str(outage->rng.label());
+        snapshot::digestRngState(digest, outage->rng.state());
     }
 }
 

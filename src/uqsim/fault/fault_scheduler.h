@@ -5,19 +5,21 @@
  * @file
  * Executes a FaultPlan against a deployed simulation.
  *
- * The scheduler turns fault specs into simulator events at start():
- * scripted crashes become (crash, recover) event pairs, stochastic
- * crashes become a chain of exponential up/down intervals drawn from
- * a per-instance seed-split stream ("fault/<instance>"), slow-node
- * windows toggle the instance's processing-time factor, and network
- * windows toggle cluster-wide degradation in hw::Network.
+ * Every fault kind is a toggle on its targets: a start action (crash
+ * the instance, slow it, degrade the network, fail a link or a
+ * switch's links, partition host groups), the end action that undoes
+ * it, and the two event labels.  start() schedules each toggle one of
+ * two ways.  A scripted spec is one window: the start fires at
+ * start_s (a crash's at_s) and the end at end_s (recover_s), and an
+ * end of 0 leaves the window open.  A stochastic spec (mtbf_s/mttr_s)
+ * is an outage chain of exponential up/down intervals drawn from the
+ * target's own seed-split stream: "fault/<instance>" for a crash,
+ * "fault/link/<name>" for a link.
  *
  * Topology kinds (link_down, link_degraded, switch_down, partition)
  * drive per-link and partition state on the cluster's FlowModel;
  * planning one against a ConstantModel run is a configuration error
- * reported at start().  Stochastic link timelines draw from
- * "fault/link/<name>" streams; partition groups name machines, which
- * are resolved (and validated) against the cluster at start().
+ * reported at start(), as are unknown links, switches and machines.
  *
  * Determinism: each stochastic timeline draws only from its own
  * stream, so adding a fault never perturbs service-time or client
@@ -25,7 +27,9 @@
  */
 
 #include <cstdint>
+#include <functional>
 #include <memory>
+#include <string>
 #include <vector>
 
 #include "uqsim/core/app/deployment.h"
@@ -49,7 +53,7 @@ class FaultScheduler {
 
     /**
      * Schedules all fault events.  @p horizonSeconds bounds
-     * stochastic crash timelines (no events are generated past it).
+     * stochastic timelines (no outage starts at or past it).
      */
     void start(double horizonSeconds);
 
@@ -64,12 +68,27 @@ class FaultScheduler {
     void foldState(snapshot::Digest& digest) const;
 
   private:
-    /** Instances matching a spec's instance/service target. */
-    std::vector<MicroserviceInstance*>
-    resolveTargets(const FaultSpec& spec) const;
+    /** One fault kind applied to one target. */
+    struct Toggle {
+        std::function<void()> start;
+        std::function<void()> end;
+        const char* startLabel = nullptr;
+        const char* endLabel = nullptr;
+        /** Seed-split stream of a stochastic spec's outage chain;
+         *  empty for the kinds that are never stochastic. */
+        std::string stream = {};
+    };
+
+    /** A stochastic target's MTBF/MTTR chain; its events hold its
+     *  address. */
+    struct Outage {
+        Toggle toggle;
+        random::RngStream rng;
+        const FaultSpec& spec;
+    };
 
     /**
-     * Onset shift for one fault window, decided by the simulator's
+     * Onset shift for one spec's windows, decided by the simulator's
      * attached Chooser (choice.h).  Zero with no chooser, with the
      * FaultJitter kind disabled, or when the chooser answers 0 — so
      * default runs and all-default schedules are unshifted.  The
@@ -82,35 +101,29 @@ class FaultScheduler {
      */
     SimTime windowShift(const char* label, double windowEndSeconds);
 
-    /** The cluster's FlowModel; throws std::runtime_error naming
-     *  @p kind when the run uses a model without link state. */
-    hw::FlowModel& requireFlowModel(const char* kind) const;
-    /** Link id for @p name; unknown names throw with a did-you-mean
-     *  suggestion over the fabric's link names. */
-    int resolveLinkId(hw::FlowModel& flow,
-                      const std::string& name) const;
+    /**
+     * The spec's toggles, one per target in target order.  Sets
+     * @p shift to the spec's windowShift() first, so the choice
+     * precedes target resolution, which throws std::runtime_error
+     * for targets the run does not have.
+     */
+    std::vector<Toggle> toggles(const FaultSpec& spec, SimTime& shift);
+    /** Instances matching a spec's instance/service target. */
+    std::vector<MicroserviceInstance*>
+    resolveTargets(const FaultSpec& spec) const;
 
-    void scheduleScriptedCrash(MicroserviceInstance& target,
-                               const FaultSpec& spec, SimTime shift);
-    void scheduleStochasticCrash(MicroserviceInstance& target,
-                                 const FaultSpec& spec, SimTime shift);
-    void scheduleNextStochasticFailure(MicroserviceInstance& target,
-                                       const FaultSpec& spec,
-                                       random::Rng& rng,
-                                       SimTime shift);
-    void scheduleSlowWindow(MicroserviceInstance& target,
-                            const FaultSpec& spec, SimTime shift);
-    void scheduleNetworkWindow(const FaultSpec& spec, SimTime shift);
-    void scheduleLinkWindow(const FaultSpec& spec, SimTime shift);
-    void scheduleStochasticLink(hw::FlowModel& flow, int linkId,
-                                const FaultSpec& spec, SimTime shift);
-    void scheduleNextLinkFailure(hw::FlowModel& flow, int linkId,
-                                 const FaultSpec& spec,
-                                 random::Rng& rng, SimTime shift);
-    void scheduleLinkDegradedWindow(const FaultSpec& spec,
-                                    SimTime shift);
-    void scheduleSwitchWindow(const FaultSpec& spec, SimTime shift);
-    void schedulePartitionWindow(const FaultSpec& spec, SimTime shift);
+    /** Fires @p toggle's start at the spec's start and its end at
+     *  the spec's end (no end when that is 0), both + @p shift. */
+    void scheduleWindow(const Toggle& toggle, const FaultSpec& spec,
+                        SimTime shift);
+    /**
+     * Schedules @p outage's next (start, end) pair: both intervals
+     * are drawn now, so the stream's consumption is a pure function
+     * of the outage count, and the end event chains the next draw.
+     * @p shift delays only the first outage; the chain after it is
+     * relative, so the whole timeline slides together.
+     */
+    void scheduleOutage(Outage& outage, SimTime shift);
 
     void crash(MicroserviceInstance& target);
 
@@ -119,9 +132,8 @@ class FaultScheduler {
     hw::Network& network_;
     FaultPlan plan_;
     SimTime horizon_ = 0;
-    /** One stream per stochastic timeline; stable addresses for the
-     *  event chain. */
-    std::vector<std::unique_ptr<random::RngStream>> streams_;
+    /** One chain per stochastic target, in plan order. */
+    std::vector<std::unique_ptr<Outage>> outages_;
     std::uint64_t crashes_ = 0;
 };
 

@@ -1,5 +1,6 @@
 #include "uqsim/fault/resilience.h"
 
+#include <cmath>
 #include <stdexcept>
 
 #include "uqsim/json/validation.h"
@@ -199,6 +200,20 @@ EdgePolicy::fromJson(const json::JsonValue& doc)
     if (policy.retries > 0 && policy.timeoutSeconds <= 0.0)
         throw json::JsonError("policy retries require timeout_s > 0");
     return policy;
+}
+
+double
+backoffSeconds(double baseSeconds, double multiplier, int retryIndex,
+               double jitter, random::Rng& rng)
+{
+    double backoff = 0.0;
+    if (baseSeconds > 0.0) {
+        backoff = baseSeconds *
+                  std::pow(multiplier, static_cast<double>(retryIndex));
+        if (jitter > 0.0)
+            backoff *= 1.0 + jitter * rng.nextDouble();
+    }
+    return backoff;
 }
 
 AdmissionConfig

@@ -26,6 +26,7 @@
 
 #include "uqsim/core/engine/sim_time.h"
 #include "uqsim/json/json_value.h"
+#include "uqsim/random/rng.h"
 
 namespace uqsim {
 namespace fault {
@@ -159,6 +160,15 @@ struct EdgePolicy {
 
     static EdgePolicy fromJson(const json::JsonValue& doc);
 };
+
+/**
+ * Backoff before retry @p retryIndex (0 for the first retry) of a
+ * client or an edge policy: base * multiplier^retryIndex *
+ * (1 + jitter * u), with u uniform in [0, 1) drawn from @p rng only
+ * when jitter > 0.  0 when the base is not positive.
+ */
+double backoffSeconds(double baseSeconds, double multiplier,
+                      int retryIndex, double jitter, random::Rng& rng);
 
 /** Entry-tier admission control (graph.json "admission" block). */
 struct AdmissionConfig {

@@ -403,21 +403,10 @@ FlowModel::pickSurvivingPath(
     }
     if (survivorScratch_.empty())
         return nullptr;
-    std::size_t pick = 0;
-    Chooser* chooser = sim_->chooser();
-    if (survivorScratch_.size() >= 2 && chooser != nullptr) {
-        const int cap = chooser->maxChoices(ChoiceKind::RouteFailover);
-        const int options = static_cast<int>(
-            std::min<std::size_t>(survivorScratch_.size(),
-                                  static_cast<std::size_t>(
-                                      cap > 0 ? cap : 0)));
-        if (options >= 2) {
-            pick = static_cast<std::size_t>(
-                chooser->choose(ChoiceKind::RouteFailover, options,
-                                "net/failover"));
-        }
-    }
-    return survivorScratch_[pick];
+    const int pick = sim_->choose(
+        ChoiceKind::RouteFailover,
+        static_cast<int>(survivorScratch_.size()), "net/failover");
+    return survivorScratch_[static_cast<std::size_t>(pick)];
 }
 
 double

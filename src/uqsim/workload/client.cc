@@ -4,6 +4,7 @@
 #include <cmath>
 #include <stdexcept>
 
+#include "uqsim/fault/resilience.h"
 #include "uqsim/json/validation.h"
 #include "uqsim/random/distribution_factory.h"
 #include "uqsim/random/distributions.h"
@@ -270,15 +271,9 @@ Client::onFailure(JobId root)
 void
 Client::reissueAfterBackoff(std::size_t endpoint_index, int retries_left)
 {
-    double backoff = 0.0;
-    if (config_.retryBackoffSeconds > 0.0) {
-        const int retry_index = config_.retries - retries_left - 1;
-        backoff = config_.retryBackoffSeconds *
-                  std::pow(config_.retryBackoffMult,
-                           static_cast<double>(retry_index));
-        if (config_.retryJitter > 0.0)
-            backoff *= 1.0 + config_.retryJitter * rng_.nextDouble();
-    }
+    const double backoff = fault::backoffSeconds(
+        config_.retryBackoffSeconds, config_.retryBackoffMult,
+        config_.retries - retries_left - 1, config_.retryJitter, rng_);
     if (backoff <= 0.0) {
         issueOn(endpoint_index, retries_left);
         return;

@@ -972,19 +972,6 @@ TEST(Simulator, EventLimitStops)
     EXPECT_EQ(fired, 3);
 }
 
-TEST(Simulator, StopFromEvent)
-{
-    Simulator sim;
-    int fired = 0;
-    sim.scheduleAt(1, [&] {
-        ++fired;
-        sim.stop();
-    });
-    sim.scheduleAt(2, [&] { ++fired; });
-    EXPECT_EQ(sim.run(), StopReason::Stopped);
-    EXPECT_EQ(fired, 1);
-}
-
 TEST(Simulator, SchedulingInPastThrows)
 {
     Simulator sim;

@@ -5,8 +5,9 @@
  * partitions and unreachable verdicts, switch_down on generated fat
  * trees, faults.json schema validation for the topology kinds,
  * FaultScheduler window-shift clamping, end-to-end report counters,
- * and digest determinism of link-fault runs across runner thread
- * counts (including composition with cluster-wide network windows).
+ * digest determinism of link-fault runs across runner thread counts
+ * (including composition with cluster-wide network windows), and a
+ * pin of every fault kind's events and streams across builds.
  */
 
 #include <gtest/gtest.h>
@@ -26,6 +27,7 @@
 #include "uqsim/models/applications.h"
 #include "uqsim/models/stage_presets.h"
 #include "uqsim/runner/sweep_runner.h"
+#include "uqsim/snapshot/snapshot.h"
 
 namespace uqsim {
 namespace {
@@ -927,6 +929,91 @@ TEST(TopologyFaultDeterminism, NetworkWindowOnFlowModelComposes)
     for (int jobs : {2, 8})
         expectGridsIdentical(serial, runNetworkWindowGrid(jobs),
                              jobs);
+}
+
+// ------------------------------- every fault kind, pinned across builds
+
+struct FaultRunPin {
+    std::uint64_t traceDigest = 0;
+    std::uint64_t events = 0;
+    std::uint64_t faultsFold = 0;
+};
+
+FaultRunPin
+runFaultPlan(ConfigBundle bundle, const std::string& faults)
+{
+    bundle.faults = json::parse(faults);
+    auto simulation = Simulation::fromBundle(bundle);
+    simulation->run();
+    FaultRunPin pin;
+    pin.traceDigest = simulation->sim().traceDigest();
+    pin.events = simulation->sim().executedEvents();
+    pin.faultsFold = simulation->layerFolds()[static_cast<std::size_t>(
+        snapshot::Layer::Faults)];
+    return pin;
+}
+
+TEST(FaultTimelinePin, EveryFaultKindKeepsItsEventsAndStreams)
+{
+    // Scripted and stochastic windows of all seven kinds, open-ended
+    // windows included: any change to an event's time, label order or
+    // a stream's draws moves the trace digest, the event count or the
+    // FAULTS fold (crash counter and every outage stream's position).
+    models::FanoutFatTreeParams fabric;
+    fabric.run.qps = 400.0;
+    fabric.run.seed = 5;
+    fabric.run.warmupSeconds = 0.1;
+    fabric.run.durationSeconds = 2.0;
+    fabric.run.clientConnections = 64;
+    fabric.fanout = 8;
+    fabric.responseBytes = 16 * 1024;
+    const FaultRunPin a = runFaultPlan(
+        models::fanoutFatTreeBundle(fabric),
+        R"({"faults": [
+            {"type": "crash", "instance": "nginx_web.1",
+             "at_s": 0.3, "recover_s": 0.5},
+            {"type": "crash", "service": "nginx_web",
+             "mtbf_s": 0.7, "mttr_s": 0.05},
+            {"type": "slow", "instance": "nginx_web.2",
+             "start_s": 0.2, "end_s": 0.9, "factor": 5.0},
+            {"type": "slow", "service": "nginx_web",
+             "start_s": 1.5, "factor": 2.0},
+            {"type": "network", "start_s": 0.6, "end_s": 0.8,
+             "extra_latency_us": 100.0, "loss_prob": 0.02},
+            {"type": "link_down", "link": "pod0:edge0:agg0:up",
+             "start_s": 0.4, "end_s": 0.7},
+            {"type": "link_down", "link": "pod1:agg0:core1:up",
+             "mtbf_s": 0.3, "mttr_s": 0.05},
+            {"type": "link_degraded", "link": "h0:down",
+             "start_s": 1.0, "end_s": 1.3,
+             "capacity_factor": 0.5, "latency_factor": 2.0},
+            {"type": "switch_down", "switch": "pod0:agg1",
+             "start_s": 1.1, "end_s": 1.2},
+            {"type": "partition", "groups": [["h1", "h2"], ["h3", "h4"]],
+             "start_s": 1.4, "end_s": 1.6}]})");
+    EXPECT_EQ(a.traceDigest, 0xbbbcb144b8f12acdULL);
+    EXPECT_EQ(a.events, 67954u);
+    EXPECT_EQ(a.faultsFold, 0xa307223e4d0603daULL);
+
+    models::TwoTierParams twoTier;
+    twoTier.run.qps = 20000.0;
+    twoTier.run.seed = 3;
+    twoTier.run.warmupSeconds = 0.1;
+    twoTier.run.durationSeconds = 1.0;
+    const FaultRunPin b = runFaultPlan(
+        models::twoTierBundle(twoTier),
+        R"({"faults": [
+            {"type": "crash", "instance": "memcached.0",
+             "at_s": 0.3, "recover_s": 0.35},
+            {"type": "crash", "service": "memcached",
+             "mtbf_s": 0.4, "mttr_s": 0.02},
+            {"type": "slow", "instance": "nginx.0",
+             "start_s": 0.5, "end_s": 0.7, "factor": 3.0},
+            {"type": "network", "start_s": 0.8,
+             "extra_latency_us": 50.0, "loss_prob": 0.01}]})");
+    EXPECT_EQ(b.traceDigest, 0x84a2910aac0ad1c1ULL);
+    EXPECT_EQ(b.events, 384338u);
+    EXPECT_EQ(b.faultsFold, 0x11c611ecf7ead27bULL);
 }
 
 }  // namespace

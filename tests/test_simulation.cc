@@ -102,19 +102,6 @@ TEST(SimulationFacade, ReportCarriesEngineCounters)
     EXPECT_FALSE(report.tiers.empty());
 }
 
-TEST(SimulationFacade, MaxEventsGuardStopsRun)
-{
-    models::ThriftEchoParams params;
-    params.run.qps = 10000.0;
-    params.run.warmupSeconds = 0.1;
-    params.run.durationSeconds = 10.0;
-    ConfigBundle bundle = models::thriftEchoBundle(params);
-    bundle.options.maxEvents = 5000;
-    auto simulation = Simulation::fromBundle(bundle);
-    const RunReport report = simulation->run();
-    EXPECT_LE(report.events, 5000u);
-}
-
 TEST(SimulationFacade, PerFrequencyHistogramsDriveLatency)
 {
     // The paper's power-management methodology: per-frequency
